@@ -39,13 +39,15 @@ namespace {
 ///   event per task, exactly the paper's event order — the trace sees
 ///   every completion and the perturbation redraws speed after each.
 /// - Batched (the common measurement path): a worker's whole runnable
-///   queue becomes one heap event at the batch end. Completion times
-///   and busy-time accumulation replay the identical sequential
+///   queue becomes one event at the batch end. Completion times and
+///   busy-time accumulation replay the identical sequential
 ///   floating-point adds the per-task mode performs (t += d per task),
-///   so every reported number is bit-identical; faults split the batch
-///   at the same strict `finish < fault_time` boundary the per-task
-///   event order produces (a fault always won time ties via its
-///   smaller sequence number).
+///   and the core orders events by `(time, worker)` whatever was
+///   pushed before, so both modes issue the same requests in the same
+///   order and every reported number is bit-identical. Faults split the
+///   batch at the same strict `finish < fault_time` boundary the
+///   per-task event order produces, since a fault wins every exact-time
+///   tie.
 class FlatEngine final : public EventCoreClient {
  public:
   FlatEngine(Strategy& strategy, bool batched)
@@ -127,7 +129,6 @@ class FlatEngine final : public EventCoreClient {
         // a real demand-driven worker would (no trace in batched mode).
       }
     }
-    b.done = 0;
     b.start = now;
     const double d = inv_speed_[k];
     b.duration = d;
@@ -137,21 +138,20 @@ class FlatEngine final : public EventCoreClient {
     double end = now;
     for (std::uint64_t i = 0; i < count; ++i) end += d;
     b.active = true;
-    core_->push_batch_event(k, end, b.gen);
+    core_->push_batch_event(k, end);
   }
 
   void on_task_done(std::uint32_t worker, double now) override {
     start_next(worker, now);
   }
 
-  void on_batch_done(std::uint32_t worker, double now,
-                     std::uint32_t tag) override {
+  void on_batch_done(std::uint32_t worker, double now) override {
     Batch& b = batches_[worker];
-    if (!b.active || tag != b.gen) return;  // superseded by a retime
     // A fault split never leaves a partially-credited batch behind: a
-    // straggler rebuilds the batch (done = 0, fresh gen) and a crash
-    // deactivates it, so this event always credits the whole run.
-    assert(b.done == 0);
+    // straggler rebuilds the batch and overwrites its event, and a
+    // crash deactivates it and empties the slot, so this event always
+    // credits the whole run.
+    assert(b.active);
     core_->credit_batch_run(worker, b.start, b.duration, b.asg.task_count());
     b.active = false;
     start_next(worker, now);
@@ -171,7 +171,7 @@ class FlatEngine final : public EventCoreClient {
     // below can index into it. Facade order == credited order.
     b.asg.flatten();
     double t = b.start;
-    std::size_t i = b.done;
+    std::size_t i = 0;
     std::vector<TaskId>& tasks = b.asg.tasks;
     while (i < tasks.size()) {
       const double finish = t + b.duration;
@@ -187,10 +187,8 @@ class FlatEngine final : public EventCoreClient {
     }
     tasks.clear();
     tasks.push_back(straddler);
-    b.done = 0;
     b.start = t;
-    ++b.gen;  // the old batch-end event is now stale
-    core_->push_batch_event(worker, t + b.duration, b.gen);
+    core_->push_batch_event(worker, t + b.duration);  // replaces the old end
   }
 
   // Crash: credit the batch members that finished strictly before the
@@ -204,11 +202,11 @@ class FlatEngine final : public EventCoreClient {
     Batch& b = batches_[worker];
     if (!b.active) return;
     // Rare fault path: materialize the run-encoded batch (see
-    // on_speed_change) before slicing it at the epoch boundary.
+    // on_speed_change) before slicing it at the fault time.
     b.asg.flatten();
     const double fault_time = core_->now();
     double t = b.start;
-    std::size_t i = b.done;
+    std::size_t i = 0;
     const std::vector<TaskId>& tasks = b.asg.tasks;
     while (i < tasks.size()) {
       const double finish = t + b.duration;
@@ -243,15 +241,11 @@ class FlatEngine final : public EventCoreClient {
   }
 
  private:
-  /// An in-flight run of equal-duration tasks on one worker. `done`
-  /// marks the prefix already credited by a fault split; `gen` tags
-  /// the batch-end event so a retime can drop the superseded one.
+  /// An in-flight run of equal-duration tasks on one worker.
   struct Batch {
     Assignment asg;  // the batch, possibly run-encoded; filled by on_request
-    std::size_t done = 0;
     double start = 0.0;
     double duration = 0.0;
-    std::uint32_t gen = 0;
     bool active = false;
   };
 
@@ -284,9 +278,10 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
   options.trace = trace;
 
   // Per-task events only where someone observes them: a trace wants
-  // every completion, perturbation redraws speed after each task.
-  // Otherwise one event per assignment batch (bit-identical results,
-  // far fewer heap operations).
+  // every completion, perturbation redraws speed after each task (in
+  // global completion order, so it cannot be batched). Otherwise one
+  // event per assignment batch (bit-identical results, far fewer
+  // events).
   const bool batched = !config.perturbation.enabled() && trace == nullptr;
   FlatEngine engine(strategy, batched);
   EventCore core(platform, options, engine);

@@ -7,7 +7,7 @@
 // completions, which makes per-task speed perturbation (the dyn.5 /
 // dyn.20 scenarios) exact.
 //
-// The event loop itself — heap, deterministic tie-breaking, faults,
+// The event loop itself — event queue, canonical tie-breaking, faults,
 // perturbation, trace/metrics publication — lives in sim/event_core.hpp
 // and is shared with simulate_timed and the DAG engine; this engine
 // only adds the "pull work from the strategy until it retires you"

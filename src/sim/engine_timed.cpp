@@ -1,9 +1,8 @@
 #include "sim/engine_timed.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -43,21 +42,19 @@ class TimedEngine final : public EventCoreClient {
       if (core_->trace() != nullptr) {
         core_->trace()->on_assignment(k, now, scratch_);
       }
-      InFlight msg;
       // The message owns its task list (it outlives this request), so
       // expand out of the scratch rather than stealing its capacity.
-      msg.tasks.reserve(scratch_.task_count());
-      scratch_.for_each_task([&](TaskId t) { msg.tasks.push_back(t); });
-      msg.blocks = scratch_.block_count();
-      x.pending_tasks += msg.tasks.size();
-      core_->stats().total_blocks += msg.blocks;
-      core_->stats().workers[k].blocks_received += msg.blocks;
+      x.in_transit.clear();
+      scratch_.for_each_task([&](TaskId t) { x.in_transit.push_back(t); });
+      const std::uint64_t blocks = scratch_.block_count();
+      x.pending_tasks += x.in_transit.size();
+      core_->stats().total_blocks += blocks;
+      core_->stats().workers[k].blocks_received += blocks;
 
       const double start = std::max(now, link_free_);
-      const double duration = config_.comm.transfer_time(msg.blocks);
+      const double duration = config_.comm.transfer_time(blocks);
       link_free_ = start + duration;
       core_->stats().link_busy_time += duration;
-      x.in_transit.push_back(std::move(msg));
       x.request_outstanding = true;
       core_->push_message(k, link_free_);
       // Only one outstanding request per worker: the next one is issued
@@ -76,12 +73,10 @@ class TimedEngine final : public EventCoreClient {
   void on_message(std::uint32_t k, double now) override {
     EventCore::Worker& w = core_->worker(k);
     Uplink& x = extra_[k];
-    assert(!x.in_transit.empty());
-    InFlight msg = std::move(x.in_transit.front());
-    x.in_transit.pop_front();
+    assert(x.request_outstanding);
     x.request_outstanding = false;
     ++core_->stats().workers[k].messages_received;
-    for (const TaskId t : msg.tasks) w.queue.push_back(t);
+    for (const TaskId t : x.in_transit) w.queue.push_back(t);
     if (!w.queue.empty() && !w.running) {
       if (x.started) {
         core_->stats().workers[k].starved_time += now - x.idle_since;
@@ -109,10 +104,9 @@ class TimedEngine final : public EventCoreClient {
   // task; this adds everything still on the wire.
   void collect_pending(std::uint32_t k, std::vector<TaskId>& out) override {
     Uplink& x = extra_[k];
-    for (const InFlight& msg : x.in_transit) {
-      out.insert(out.end(), msg.tasks.begin(), msg.tasks.end());
+    if (x.request_outstanding) {
+      out.insert(out.end(), x.in_transit.begin(), x.in_transit.end());
     }
-    x.in_transit.clear();
     x.pending_tasks = 0;
     x.request_outstanding = false;
   }
@@ -133,13 +127,11 @@ class TimedEngine final : public EventCoreClient {
   }
 
  private:
-  struct InFlight {
-    std::vector<TaskId> tasks;
-    std::uint64_t blocks = 0;
-  };
   /// Per-worker uplink bookkeeping (the core holds the runnable queue).
   struct Uplink {
-    std::deque<InFlight> in_transit;  // ordered by arrival
+    // Tasks of the outstanding request's message, valid while
+    // request_outstanding; capacity is reused across messages.
+    std::vector<TaskId> in_transit;
     std::uint64_t pending_tasks = 0;  // runnable + in transit + in flight
     bool request_outstanding = false;
     double idle_since = 0.0;  // start of the current starvation interval

@@ -37,11 +37,9 @@ void EventCoreClient::on_message(std::uint32_t worker, double now) {
   (void)now;
 }
 
-void EventCoreClient::on_batch_done(std::uint32_t worker, double now,
-                                    std::uint32_t tag) {
+void EventCoreClient::on_batch_done(std::uint32_t worker, double now) {
   (void)worker;
   (void)now;
-  (void)tag;
 }
 
 void EventCoreClient::on_speed_change(std::uint32_t worker, double now) {
@@ -95,22 +93,12 @@ EventCore::EventCore(const Platform& platform, const EventCoreOptions& options,
     workers_[k].speed = platform.speed(k);
     workers_[k].base_speed = platform.speed(k);
   }
-  // Faults used to be heap events pushed at construction, so their
-  // sequence numbers (0..F-1) were smaller than any engine event's and
-  // a fault won every time tie. A stable sort by time plus the
-  // `<= top().time` merge in run() reproduces exactly that order;
-  // starting seq_ past the fault count keeps engine-event sequence
-  // numbers identical to the single-heap layout.
   faults_ = options.faults;
   std::stable_sort(faults_.begin(), faults_.end(),
                    [](const WorkerFault& a, const WorkerFault& b) {
                      return a.time < b.time;
                    });
-  seq_ = faults_.size();
-  // One in-flight completion (or batch) event per worker in the flat
-  // engine's steady state; the timed engine's message events grow the
-  // vector once and it stays.
-  events_.reserve(workers_.size() + 2);
+  events_.reset(p);
 }
 
 void EventCore::start_task(std::uint32_t k, double now, double duration,
@@ -120,18 +108,28 @@ void EventCore::start_task(std::uint32_t k, double now, double duration,
   w.current = task;
   w.running = true;
   w.current_duration = duration;
-  w.current_finish = now + duration;
   result_.workers[k].busy_time += duration;
-  events_.push(Event{now + duration, seq_++, k, kTaskDone | (w.epoch << 8)});
-}
-
-void EventCore::push_batch_event(std::uint32_t k, double time,
-                                 std::uint32_t tag) {
-  events_.push(Event{time, seq_++, k, kBatchDone | (tag << 8)});
+  events_.set(k << slot_shift_, now + duration);
 }
 
 void EventCore::push_message(std::uint32_t k, double time) {
-  events_.push(Event{time, seq_++, k, kMessage | (workers_[k].epoch << 8)});
+  assert(!workers_[k].failed);
+  if (slot_shift_ == 0) {
+    // First message: re-lay the queue out as (compute, message) slot
+    // pairs, carrying over any pending compute events.
+    const std::uint32_t p = num_workers();
+    std::vector<double> compute(p);
+    for (std::uint32_t w = 0; w < p; ++w) compute[w] = events_.time(w);
+    events_.reset(2 * p);
+    slot_shift_ = 1;
+    for (std::uint32_t w = 0; w < p; ++w) {
+      if (compute[w] != SlotQueue::kEmpty) events_.set(2 * w, compute[w]);
+    }
+  }
+  const std::uint32_t slot = 2 * k + 1;
+  // One outstanding request per worker: its message slot must be free.
+  assert(events_.time(slot) == SlotQueue::kEmpty);
+  events_.set(slot, time);
 }
 
 void EventCore::retire_worker(std::uint32_t k, double now) {
@@ -155,7 +153,9 @@ void EventCore::crash_worker(std::uint32_t k, double now) {
     w.running = false;
   }
   w.failed = true;
-  ++w.epoch;  // invalidates in-flight completion / message events
+  // Empty the victim's slots: nothing it had pending fires any more.
+  events_.clear(k << slot_shift_);
+  if (slot_shift_ != 0) events_.clear(2 * k + 1);
   ++result_.crashed_workers;
   if (trace_ != nullptr) trace_->on_retire(k, now);
   if (unfinished.empty()) return;

@@ -4,33 +4,42 @@
 // event loops (flat sim, timed sim, DAG, plus ad-hoc drivers), and only
 // the flat one knew about fault injection, speed perturbation, metrics
 // gauges and trace sinks. EventCore owns the machinery those loops
-// share — the event queue with deterministic `(time, seq)`
-// tie-breaking, the unified per-worker state (speed, base speed,
-// in-flight task, crash epoch), scripted `WorkerFault` handling
-// (crash -> requeue through the client, straggler -> speed scaling),
-// `PerturbationModel` application after each completion, and optional
-// `TraceSink` / `MetricsRegistry` publication — while the engines keep
-// only what genuinely differs: how a worker obtains its next task.
+// share — the event queue and its canonical tie rule, the unified
+// per-worker state (speed, base speed, in-flight task), scripted
+// `WorkerFault` handling (crash -> requeue through the client,
+// straggler -> speed scaling), `PerturbationModel` application after
+// each completion, and optional `TraceSink` / `MetricsRegistry`
+// publication — while the engines keep only what genuinely differs:
+// how a worker obtains its next task.
 //
 // An engine is an `EventCoreClient`: the core drives the clock and
 // calls back into the client to refill workers after completions,
 // deliver non-compute events (message arrivals), and return a crash
-// victim's unfinished tasks to the master. The flat engine's observable
-// behaviour (event order, RNG draw order, stats) is bit-identical to
-// the pre-EventCore implementation; a pinned-seed golden test enforces
-// that.
+// victim's unfinished tasks to the master. A pinned-seed golden test
+// enforces the flat engine's observable behaviour (event order, RNG
+// draw order, stats).
 //
-// Hot-path layout (see docs/performance.md): events are 24-byte PODs
-// in a hand-rolled 4-ary min-heap, fault events live in a pre-sorted
-// side list merged at pop time (their construction-time sequence
-// numbers are smaller than any engine event's, so a fault still wins
-// every time tie exactly as it did in the single-heap layout), and
-// worker run queues are vectors with a consumed-prefix head instead of
-// std::deque so the steady state allocates nothing.
+// The queue (see docs/performance.md) is a tournament tree with one
+// slot per pending event source: a compute slot per worker (its task
+// completion or batch end) and, once the timed engine sends its first
+// message, a message slot per worker. Each worker has at most one
+// outstanding completion and one outstanding request, so a slot holds
+// at most one event and refilling it is a single leaf-to-root walk.
+// Events fire in canonical `(time, worker, kind)` order, compute before
+// message. That order does not depend on how many events were pushed
+// before, so batching a worker's completions into one event schedules
+// exactly what per-task events would: attaching a TraceSink (which
+// forces per-task events) never changes the simulated run. Scripted
+// faults are not slots: they live in a pre-sorted side list and win
+// every exact-time tie against a slot event. A crash empties the
+// victim's slots, so no stale event can fire after it. Worker run
+// queues are vectors with a consumed-prefix head instead of std::deque
+// so the steady state allocates nothing.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -148,16 +157,15 @@ class EventCoreClient {
   virtual void on_task_done(std::uint32_t worker, double now) = 0;
 
   /// A message event (pushed via EventCore::push_message) arrived for
-  /// `worker`. Stale deliveries (crash epoch advanced) are dropped by
-  /// the core before this is called. Default: nothing to do.
+  /// `worker`. A crash empties the worker's message slot, so nothing is
+  /// delivered to a crashed worker. Default: nothing to do.
   virtual void on_message(std::uint32_t worker, double now);
 
   /// A batch event (pushed via EventCore::push_batch_event) fired for
-  /// `worker`; `tag` echoes the value given at push time so the client
-  /// can drop events invalidated by a mid-batch retime. Only clients
+  /// `worker`. A retime overwrites the worker's compute slot, so the
+  /// event that fires is always the latest one pushed. Only clients
   /// that push batch events ever see this. Default: nothing to do.
-  virtual void on_batch_done(std::uint32_t worker, double now,
-                             std::uint32_t tag);
+  virtual void on_batch_done(std::uint32_t worker, double now);
 
   /// A straggler fault just rescaled `worker`'s speed. A client that
   /// schedules multi-task batch events must re-time the in-flight
@@ -202,16 +210,15 @@ struct EventCoreOptions {
 class EventCore {
  public:
   /// Unified worker state. `queue` holds runnable tasks (the timed
-  /// engine's in-transit messages stay client-side); `epoch` advances
-  /// on crash and invalidates in-flight completion/message events.
+  /// engine's in-transit messages stay client-side). `running` marks a
+  /// task started by start_task; a filled compute slot with `running`
+  /// clear is a batch end.
   struct Worker {
     TaskQueue queue;
     double speed = 0.0;
     double base_speed = 0.0;
     TaskId current = 0;
-    double current_finish = 0.0;
     double current_duration = 0.0;
-    std::uint32_t epoch = 0;
     bool running = false;
     bool retired = false;
     bool failed = false;
@@ -247,11 +254,14 @@ class EventCore {
   void start_task(std::uint32_t k, double now, double duration, TaskId task);
 
   /// Schedules one event at `time` standing for a whole run of tasks
-  /// on worker `k`. The client owns the batch contents and credits the
-  /// individual completions via credit_batch_completion when the event
-  /// fires (on_batch_done) or a fault splits the batch. `tag` is
-  /// echoed back verbatim for staleness detection.
-  void push_batch_event(std::uint32_t k, double time, std::uint32_t tag);
+  /// on worker `k`, in its compute slot (replacing any batch end
+  /// already there). The client owns the batch contents and credits
+  /// the individual completions via credit_batch_completion when the
+  /// event fires (on_batch_done) or a fault splits the batch.
+  void push_batch_event(std::uint32_t k, double time) {
+    assert(!workers_[k].running && !workers_[k].failed);
+    events_.set(k << slot_shift_, time);
+  }
 
   /// Batched-mode replacement for the per-event completion
   /// bookkeeping: tasks-done counters, finish time, makespan. The
@@ -291,14 +301,15 @@ class EventCore {
 
   /// Schedules a message-arrival event for worker `k` at `time`
   /// (delivered to EventCoreClient::on_message; dropped if the worker
-  /// crashes before `time`).
+  /// crashes before `time`). At most one message per worker may be
+  /// outstanding. The first call adds the message slots.
   void push_message(std::uint32_t k, double time);
 
   /// Marks worker `k` retired (the master has nothing for it) and
   /// emits the trace retirement event.
   void retire_worker(std::uint32_t k, double now);
 
-  /// Drains the event heap (and the staged fault list) to completion,
+  /// Drains the event queue (and the staged fault list) to completion,
   /// dispatching callbacks through the EventCoreClient vtable.
   void run() { run_loop(client_); }
 
@@ -308,50 +319,37 @@ class EventCore {
   /// on batch-size-1 workloads. Behaviour is identical to run().
   template <typename Client>
   void run_loop(Client& client) {
-    while (!events_.empty() || next_fault_ < faults_.size()) {
+    for (;;) {
+      const SlotQueue::Entry head = events_.top();
+      // A fault wins every exact-time tie against a slot event.
       if (next_fault_ < faults_.size() &&
-          (events_.empty() ||
-           faults_[next_fault_].time <= events_.top().time)) {
+          faults_[next_fault_].time <= head.time) {
         apply_fault(faults_[next_fault_++]);
         continue;
       }
-      const Event ev = events_.top();
+      if (head.time == SlotQueue::kEmpty) break;
       events_.pop();
-      now_ = ev.time;
-      Worker& w = workers_[ev.worker];
-      const std::uint32_t kind = ev.meta & 0xFFu;
-      const std::uint32_t stamp = ev.meta >> 8;
-
-      switch (kind) {
-        case kTaskDone: {
-          if (w.failed || stamp != w.epoch) break;  // stale after crash
-          assert(w.running);
-          w.running = false;
-          WorkerSimStats& stats = result_.workers[ev.worker];
-          ++stats.tasks_done;
-          ++result_.total_tasks_done;
-          stats.finish_time = ev.time;
-          if (ev.time > result_.makespan) result_.makespan = ev.time;
-          if (trace_ != nullptr) {
-            trace_->on_completion(ev.worker, ev.time, w.current);
-          }
-          if (perturbation_.enabled()) {
-            w.speed =
-                perturbation_.perturb(w.speed, w.base_speed, perturb_rng_);
-          }
-          client.on_task_done(ev.worker, ev.time);
-          break;
+      now_ = head.time;
+      const std::uint32_t k = head.slot >> slot_shift_;
+      Worker& w = workers_[k];
+      if ((head.slot & slot_shift_) != 0) {
+        client.on_message(k, head.time);
+      } else if (!w.running) {
+        client.on_batch_done(k, head.time);
+      } else {
+        w.running = false;
+        WorkerSimStats& stats = result_.workers[k];
+        ++stats.tasks_done;
+        ++result_.total_tasks_done;
+        stats.finish_time = head.time;
+        if (head.time > result_.makespan) result_.makespan = head.time;
+        if (trace_ != nullptr) {
+          trace_->on_completion(k, head.time, w.current);
         }
-        case kMessage: {
-          if (w.failed || stamp != w.epoch) break;  // stale after crash
-          client.on_message(ev.worker, ev.time);
-          break;
+        if (perturbation_.enabled()) {
+          w.speed = perturbation_.perturb(w.speed, w.base_speed, perturb_rng_);
         }
-        case kBatchDone: {
-          if (w.failed) break;  // stale after crash
-          client.on_batch_done(ev.worker, ev.time, stamp);
-          break;
-        }
+        client.on_task_done(k, head.time);
       }
     }
   }
@@ -361,68 +359,82 @@ class EventCore {
   SimResult finish();
 
  private:
-  enum : std::uint32_t { kTaskDone = 0, kMessage = 1, kBatchDone = 2 };
-
-  /// 24-byte POD event. `meta` packs the event kind (low 8 bits) with
-  /// the crash epoch — or, for batch events, the client's staleness
-  /// tag — in the high 24 bits. Faults are not events: they live in
-  /// `faults_`, pre-sorted, and are merged in at pop time.
-  struct Event {
-    double time;
-    std::uint64_t seq;  // FIFO tie-break for identical times => determinism
-    std::uint32_t worker;
-    std::uint32_t meta;
-  };
-
-  /// 4-ary min-heap ordered by (time, seq). Shallower than a binary
-  /// heap (fewer cache-missing levels per sift) and free of the
-  /// std::priority_queue abstraction overhead; ~40% faster per
-  /// push/pop pair on the simulation's event mix.
-  class EventHeap {
+  /// Winner tree over one event time per slot, ordered by
+  /// `(time, slot)`. Leaves sit at `nodes_[leaves_ + slot]` (an empty
+  /// slot holds kEmpty); each internal node holds the earliest entry of
+  /// its subtree, so the root is the next event. pop() only empties the
+  /// root's leaf and defers its walk: the client almost always refills
+  /// that slot during the callback, and set() then settles both changes
+  /// with one leaf-to-root walk. Any other access settles the deferred
+  /// walk first.
+  class SlotQueue {
    public:
-    void reserve(std::size_t n) { v_.reserve(n); }
-    bool empty() const noexcept { return v_.empty(); }
-    const Event& top() const noexcept { return v_.front(); }
-    void push(const Event& e) {
-      std::size_t i = v_.size();
-      v_.push_back(e);
-      while (i != 0) {
-        const std::size_t parent = (i - 1) >> 2;
-        if (!before(v_[i], v_[parent])) break;
-        Event tmp = v_[i];
-        v_[i] = v_[parent];
-        v_[parent] = tmp;
-        i = parent;
+    struct Entry {
+      double time;
+      std::uint32_t slot;
+    };
+    static constexpr double kEmpty = std::numeric_limits<double>::infinity();
+
+    /// Empties the queue and sizes it for `slots` slots.
+    void reset(std::uint32_t slots) {
+      leaves_ = 1;
+      while (leaves_ < slots) leaves_ <<= 1;
+      nodes_.assign(2 * static_cast<std::size_t>(leaves_), Entry{kEmpty, 0});
+      for (std::uint32_t s = 0; s < leaves_; ++s) nodes_[leaves_ + s].slot = s;
+      for (std::uint32_t i = leaves_ - 1; i >= 1; --i) {
+        nodes_[i] = nodes_[2 * i];
       }
+      pending_ = kNone;
     }
+    double time(std::uint32_t slot) const { return nodes_[leaves_ + slot].time; }
+    /// The earliest entry; its time is kEmpty when every slot is empty.
+    const Entry& top() {
+      settle();
+      return nodes_[1];
+    }
+    /// Empties the slot of top() (which must be non-empty).
     void pop() {
-      assert(!v_.empty());
-      v_.front() = v_.back();
-      v_.pop_back();
-      if (v_.size() < 2) return;
-      std::size_t i = 0;
-      const std::size_t n = v_.size();
-      for (;;) {
-        const std::size_t first = (i << 2) + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t last = first + 4 < n ? first + 4 : n;
-        for (std::size_t c = first + 1; c < last; ++c) {
-          if (before(v_[c], v_[best])) best = c;
-        }
-        if (!before(v_[best], v_[i])) break;
-        Event tmp = v_[i];
-        v_[i] = v_[best];
-        v_[best] = tmp;
-        i = best;
-      }
+      pending_ = nodes_[1].slot;
+      nodes_[leaves_ + pending_].time = kEmpty;
+    }
+    void set(std::uint32_t slot, double time) {
+      assert(slot < leaves_ && time < kEmpty);
+      if (pending_ != slot) settle();
+      pending_ = kNone;
+      nodes_[leaves_ + slot].time = time;
+      walk(slot);
+    }
+    void clear(std::uint32_t slot) {
+      settle();
+      nodes_[leaves_ + slot].time = kEmpty;
+      walk(slot);
     }
 
    private:
-    static bool before(const Event& a, const Event& b) noexcept {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    static bool before(const Entry& a, const Entry& b) noexcept {
+      return a.time < b.time || (a.time == b.time && a.slot < b.slot);
     }
-    std::vector<Event> v_;
+    void settle() {
+      if (pending_ == kNone) return;
+      const std::uint32_t slot = pending_;
+      pending_ = kNone;
+      walk(slot);
+    }
+    void walk(std::uint32_t slot) {
+      std::size_t i = leaves_ + slot;
+      Entry best = nodes_[i];
+      while (i > 1) {
+        const Entry& sibling = nodes_[i ^ 1];
+        if (before(sibling, best)) best = sibling;
+        i >>= 1;
+        nodes_[i] = best;
+      }
+    }
+
+    std::vector<Entry> nodes_;
+    std::uint32_t leaves_ = 1;
+    std::uint32_t pending_ = kNone;  // popped slot whose walk is deferred
   };
 
   void crash_worker(std::uint32_t k, double now);
@@ -438,13 +450,16 @@ class EventCore {
   Rng perturb_rng_;
   std::vector<Worker> workers_;
   SimResult result_;
-  EventHeap events_;
-  /// Faults stably sorted by time: same pop order as the old in-heap
-  /// fault events, whose construction-time sequence numbers made them
-  /// win every tie against engine events.
+  /// Worker k's compute slot is `k << slot_shift_`. Until the first
+  /// message there is one slot per worker (shift 0); push_message then
+  /// interleaves a message slot `2k + 1` after each compute slot `2k`
+  /// (shift 1), so slot order is `(worker, kind)` in either layout.
+  SlotQueue events_;
+  std::uint32_t slot_shift_ = 0;
+  /// Faults stably sorted by time; faults at one time apply in
+  /// declaration order.
   std::vector<WorkerFault> faults_;
   std::size_t next_fault_ = 0;
-  std::uint64_t seq_ = 0;
   double now_ = 0.0;
 };
 

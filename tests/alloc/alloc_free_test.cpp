@@ -38,10 +38,15 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The frees go through one out-of-line helper: GCC 12 otherwise inlines
+// std::free into call sites where it can see the matching operator new
+// and reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] static void release(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace hetsched {
 namespace {

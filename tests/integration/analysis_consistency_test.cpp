@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "analysis/matmul_analysis.hpp"
 #include "analysis/outer_analysis.hpp"
@@ -18,6 +19,14 @@ struct GridCase {
   std::uint32_t n;
   double tolerance;  // relative
 };
+
+std::string grid_case_name(const ::testing::TestParamInfo<GridCase>& info) {
+  std::string name = "p";
+  name += std::to_string(info.param.p);
+  name += "_n";
+  name += std::to_string(info.param.n);
+  return name;
+}
 
 class OuterConsistencyTest : public ::testing::TestWithParam<GridCase> {};
 
@@ -43,10 +52,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GridCase{5, 60, 0.20}, GridCase{10, 60, 0.08},
                       GridCase{20, 60, 0.08}, GridCase{20, 120, 0.06},
                       GridCase{40, 80, 0.06}, GridCase{80, 80, 0.06}),
-    [](const auto& info) {
-      return "p" + std::to_string(info.param.p) + "_n" +
-             std::to_string(info.param.n);
-    });
+    grid_case_name);
 
 class MatmulConsistencyTest : public ::testing::TestWithParam<GridCase> {};
 
@@ -69,10 +75,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, MatmulConsistencyTest,
     ::testing::Values(GridCase{10, 16, 0.15}, GridCase{20, 20, 0.10},
                       GridCase{40, 24, 0.08}, GridCase{60, 30, 0.08}),
-    [](const auto& info) {
-      return "p" + std::to_string(info.param.p) + "_n" +
-             std::to_string(info.param.n);
-    });
+    grid_case_name);
 
 TEST(Consistency, ExperimentIsFullyDeterministic) {
   ExperimentConfig config;

@@ -1,5 +1,8 @@
 #include "platform/scenario.hpp"
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace hetsched {
@@ -44,6 +47,12 @@ struct NamedCase {
   double hi;        // draw range (inclusive set values allowed)
   double perturb;   // expected perturbation percent
 };
+
+// Print the scenario name, not the struct's bytes: the default printer
+// dumps the pointer value, which makes the test names change from run to run.
+void PrintTo(const NamedCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.name));
+}
 
 class NamedScenarioTest : public ::testing::TestWithParam<NamedCase> {};
 

@@ -96,15 +96,23 @@ TEST(EngineGolden, FaultedRandomMatmulIsBitIdentical) {
   Platform platform({10.0, 20.0, 40.0, 80.0});
   SimConfig config;
   config.seed = 777;
-  // Worker 1 straggles to a quarter speed at t=0.2 (faults are pushed in
-  // declaration order, so the later crash still draws the same event
-  // sequence numbers as the original engine did).
+  // Worker 1 straggles to a quarter speed at t=0.2; worker 3 crashes at
+  // t=0.4. Faults apply in time order and win every exact-time tie
+  // against completions.
+  //
+  // Speeds 10/20/40/80 make completion times tie exactly (workers 0
+  // and 1 both request at t=0.4 and t=1.2). Block counts were
+  // re-derived when the event queue switched to the canonical
+  // (time, worker) tie rule: the same requests happen at the same
+  // times, but tied ones are now served in worker order, so RandomMatrix
+  // hands workers 0 and 1 different random tasks there. Every time,
+  // task tally and speed is unchanged.
   config.faults = {WorkerFault{0.4, 3, 0.0}, WorkerFault{0.2, 1, 0.25}};
   const SimResult result = simulate(*strategy, platform, config);
   expect_matches(
-      result, 0x1.199999999999ap+3, 525, 512, 1, 1,
-      {{87, 152, 0x1.166666666665ep+3, 0x1.166666666665ep+3, 0x1.4p+3},
-       {47, 103, 0x1.199999999999ap+3, 0x1.199999999999ap+3, 0x1.4p+2},
+      result, 0x1.199999999999ap+3, 527, 512, 1, 1,
+      {{87, 153, 0x1.166666666665ep+3, 0x1.166666666665ep+3, 0x1.4p+3},
+       {47, 104, 0x1.199999999999ap+3, 0x1.199999999999ap+3, 0x1.4p+2},
        {347, 192, 0x1.15999999999b9p+3, 0x1.15999999999b9p+3, 0x1.4p+5},
        {31, 78, 0x1.8ccccccccccdp-2, 0x1.8ccccccccccdp-2, 0x1.4p+6}});
 }

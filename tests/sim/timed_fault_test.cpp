@@ -39,8 +39,8 @@ TEST(TimedFaultInjection, CrashedWorkerTasksAreRequeuedAndCompleted) {
     EXPECT_TRUE(completed.insert(ev.task).second);
   }
   EXPECT_EQ(completed.size(), 900u);
-  // The dead worker does nothing after t = 0.5 (stale in-flight message
-  // and task-done events are dropped by the epoch check).
+  // The dead worker does nothing after t = 0.5 (the crash empties its
+  // message and compute slots).
   for (const auto& ev : trace.completions()) {
     if (ev.worker == 2) {
       EXPECT_LE(ev.time, 0.5 + 1e-9);

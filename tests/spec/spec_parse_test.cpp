@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +115,12 @@ struct ErrorCase {
   std::size_t line;
   std::size_t column;
 };
+
+// Print the input text, not the struct's bytes: the default printer dumps
+// the pointer values, which makes the test names change from run to run.
+void PrintTo(const ErrorCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text));
+}
 
 class SpecParseError : public ::testing::TestWithParam<ErrorCase> {};
 
