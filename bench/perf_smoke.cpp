@@ -5,8 +5,10 @@
 //   heap        - raw binary-heap push/pop ns/op (host-speed calibration,
 //                 the same unit bench/micro_scheduler_overhead uses)
 //   engine      - flat-engine ns per task on a DynamicOuter run (batched
-//                 events, ~12 tasks each) and ns per event on a SortedOuter
-//                 run (one task per request, so one event per task)
+//                 events, ~12 tasks each) and ns per event on SortedOuter
+//                 and RandomOuter runs (one task per request, so one
+//                 event per task)
+//   pool        - ns per random pop draining a 10^6-id pool
 //   request_ns  - master-side ns/request for the paper's eight strategies
 //   reps_per_sec- single-thread replication throughput on fig05-sized
 //                 (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
@@ -17,6 +19,7 @@
 // CI can compare against bench/baselines/perf_smoke.json without being
 // fooled by runner speed. --large additionally runs the full
 // N/l = 1000 matrix-multiplication instances (minutes, not for CI).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -115,6 +118,39 @@ double flat_engine_ns_per_event_pointwise() {
   return flat_engine_ns_per_task(
       "SortedOuter", 300,
       make_platform(UniformIntervalSpeeds(10.0, 100.0), 100, rng));
+}
+
+/// RandomOuter at fig05's N/l = 1000 (a 10^6-id pool, 4 MB of ids,
+/// past L2) and p = 100: one random pop per event, the shape of the
+/// figures' RandomOuter/RandomMatrix baselines, where the pool's
+/// look-ahead prefetch hides the pop's cache miss behind engine work.
+double flat_engine_ns_per_event_random() {
+  Rng rng(derive_stream(1, "perf_smoke.pointwise"));
+  return flat_engine_ns_per_task(
+      "RandomOuter", 1000,
+      make_platform(UniformIntervalSpeeds(10.0, 100.0), 100, rng));
+}
+
+/// ns per TaskPool::pop_random_unindexed draining a 10^6-id pool with
+/// nothing between pops; median of 7 drains. A bare loop already
+/// overlaps the independent misses of consecutive pops out of order,
+/// so this row shows the pop's own instruction cost (including the
+/// look-ahead draw), not the miss the engine rows expose.
+double pool_pop_random_unindexed_ns() {
+  constexpr std::uint64_t kIds = 1'000'000;
+  TaskPool pool(kIds);
+  std::vector<double> samples;
+  std::uint64_t sink = 0;
+  for (std::uint64_t k = 0; k < 7; ++k) {
+    pool.reset();
+    Rng rng(derive_stream(k, "perf_smoke.pool"));
+    const double start = now_sec();
+    while (!pool.empty()) sink += pool.pop_random_unindexed(rng);
+    samples.push_back((now_sec() - start) * 1e9 / static_cast<double>(kIds));
+  }
+  if (sink == 0) std::cerr << "";
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 /// Master-side ns/request: drain a fresh instance to exhaustion through
@@ -263,6 +299,12 @@ int main(int argc, char** argv) {
   const double engine_pointwise = flat_engine_ns_per_event_pointwise();
   std::cerr << "# flat engine (one task per event): " << engine_pointwise
             << " ns/event\n";
+  const double engine_random = flat_engine_ns_per_event_random();
+  std::cerr << "# flat engine (one random pop per event, 10^6 ids): "
+            << engine_random << " ns/event\n";
+  const double pool_pop = pool_pop_random_unindexed_ns();
+  std::cerr << "# pool pop_random_unindexed (10^6 ids): " << pool_pop
+            << " ns\n";
 
   const std::vector<std::string> outer_names = {
       "RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases"};
@@ -382,6 +424,8 @@ int main(int argc, char** argv) {
   json.field("heap_ns_per_op", heap);
   json.field("flat_engine_ns_per_event", engine);
   json.field("flat_engine_ns_per_event_pointwise", engine_pointwise);
+  json.field("flat_engine_ns_per_event_random", engine_random);
+  json.field("pool.pop_random_unindexed_ns.n1e6", pool_pop);
   json.key("request_ns");
   json.begin_object();
   for (const auto& [name, ns] : request) json.field(name, ns);
@@ -403,6 +447,8 @@ int main(int argc, char** argv) {
   // Recorded, not gated: bench/baselines/perf_smoke.json has no such
   // key, and the gate compares only keys present in the baseline.
   json.field("flat_engine_ns_per_event_pointwise", engine_pointwise / heap);
+  json.field("flat_engine_ns_per_event_random", engine_random / heap);
+  json.field("pool.pop_random_unindexed_ns.n1e6", pool_pop / heap);
   for (const auto& [name, ns] : request) json.field("request." + name, ns / heap);
   for (const auto& [name, r] : reps) {
     json.field("rep_cost." + name, 1e9 / (r * heap));

@@ -29,6 +29,13 @@ class CliArgs {
   std::vector<std::int64_t> get_int_list(const std::string& key,
                                          std::vector<std::int64_t> fallback) const;
 
+  /// Throws std::invalid_argument when a flag is not in `known`. The
+  /// message starts with `context` (e.g. the subcommand) and names
+  /// every unknown flag, each with the closest known flag when one is
+  /// within two edits ("did you mean --strategy?").
+  void require_known(const std::vector<std::string>& known,
+                     const std::string& context) const;
+
   const std::string& program() const noexcept { return program_; }
 
  private:

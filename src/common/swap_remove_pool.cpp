@@ -48,6 +48,7 @@ bool SwapRemovePool::insert(std::uint64_t id) {
   position_[id] = static_cast<std::uint32_t>(size_);
   ids_[size_] = static_cast<std::uint32_t>(id);
   ++size_;
+  ahead_size_ = kNoAhead;
   if (id < first_cursor_) first_cursor_ = id;
   return true;
 }
@@ -91,12 +92,14 @@ void SwapRemovePool::refill_present(const DynamicBitset& removed) noexcept {
   }
   size_ = out;
   first_cursor_ = 0;
+  ahead_size_ = kNoAhead;
   index_dirty_ = false;
 }
 
 void SwapRemovePool::reset() noexcept {
   size_ = position_.size();
   first_cursor_ = 0;
+  ahead_size_ = kNoAhead;
   fill_identity();
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 
@@ -198,13 +199,25 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // per shard, merged in shard order below, so profiled totals
   // aggregate identically for any thread count.
   std::vector<ProfShard> prof_shards(config.profile ? shard_count : 0);
+  // Strategies cached between shards. A shard takes one (or builds one
+  // when none is idle) and hands it back when done, so each executing
+  // thread builds at most once and rewinds (Strategy::reset) for every
+  // later rep it runs: one build per experiment serially, at most
+  // `threads` in parallel. Reps stay bit-identical to fresh builds
+  // (reset(seed) is pinned to construction with the same seed).
+  std::vector<std::unique_ptr<Strategy>> idle;
+  std::mutex idle_mutex;
   auto run_shard = [&](std::uint64_t s) {
     ShardStats& shard = shards[s];
-    // One rep context per shard: the shard is single-writer, so the
-    // strategy cached in it is rewound (not rebuilt) for every rep the
-    // shard runs after its first.
     RepContext ctx;
     if (config.profile) ctx.prof = &prof_shards[s];
+    {
+      const std::lock_guard<std::mutex> lock(idle_mutex);
+      if (!idle.empty()) {
+        ctx.strategy = std::move(idle.back());
+        idle.pop_back();
+      }
+    }
     for (std::uint64_t r = s; r < config.reps; r += kRepShards) {
       const std::uint64_t rep_seed =
           derive_stream(config.seed, "rep." + std::to_string(r));
@@ -216,6 +229,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       result.reps[r] = std::move(outcome);
       if (config.progress != nullptr) config.progress->rep_done();
     }
+    const std::lock_guard<std::mutex> lock(idle_mutex);
+    idle.push_back(std::move(ctx.strategy));
   };
 
   std::uint32_t threads = 1;

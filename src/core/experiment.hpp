@@ -160,7 +160,9 @@ RepOutcome run_single(const ExperimentConfig& config, std::uint64_t rep_seed,
 /// a fixed number of stat shards (by rep % kRepShards, independent of
 /// the thread count) merged in shard order, and per-rep outcomes land
 /// at reps[r]. Summaries and outcome ordering are therefore
-/// bit-identical for any parallelism, including 1.
+/// bit-identical for any parallelism, including 1. Each executing
+/// thread builds the strategy once and rewinds it (Strategy::reset)
+/// for every later rep it runs.
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// Number of stat shards (= maximum useful rep parallelism).

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "matmul/matmul_factory.hpp"
 #include "outer/outer_factory.hpp"
+#include "platform/platform.hpp"
 
 namespace hetsched {
 
@@ -18,9 +19,7 @@ namespace {
 std::vector<double> draw_speeds(const Scenario& scenario, std::uint32_t p,
                                 std::uint64_t seed) {
   Rng rng(derive_stream(seed, "figure.fixed-draw"));
-  std::vector<double> speeds(p);
-  for (auto& s : speeds) s = scenario.speeds->draw(rng);
-  return speeds;
+  return make_platform(*scenario.speeds, p, rng).speeds();
 }
 
 Scenario fixed_scenario(const Scenario& base, std::vector<double> speeds) {

@@ -29,7 +29,7 @@ double Platform::alpha(std::size_t k) const noexcept {
 
 Platform make_platform(const SpeedModel& model, std::size_t p, Rng& rng) {
   std::vector<double> speeds(p);
-  for (auto& s : speeds) s = model.draw(rng);
+  for (std::size_t k = 0; k < p; ++k) speeds[k] = model.draw(k, rng);
   return Platform(std::move(speeds));
 }
 

@@ -19,7 +19,7 @@ std::string UniformIntervalSpeeds::name() const {
   return os.str();
 }
 
-double UniformIntervalSpeeds::draw(Rng& rng) const {
+double UniformIntervalSpeeds::draw(std::size_t, Rng& rng) const {
   return lo_ == hi_ ? lo_ : rng.uniform(lo_, hi_);
 }
 
@@ -45,7 +45,7 @@ std::string DiscreteSetSpeeds::name() const {
   return os.str();
 }
 
-double DiscreteSetSpeeds::draw(Rng& rng) const {
+double DiscreteSetSpeeds::draw(std::size_t, Rng& rng) const {
   return speeds_[rng.next_below(speeds_.size())];
 }
 
@@ -65,7 +65,7 @@ std::string TwoClassSpeeds::name() const {
   return os.str();
 }
 
-double TwoClassSpeeds::draw(Rng& rng) const {
+double TwoClassSpeeds::draw(std::size_t, Rng& rng) const {
   return rng.bernoulli(fast_fraction_) ? fast_ : slow_;
 }
 
@@ -82,10 +82,8 @@ FixedListSpeeds::FixedListSpeeds(std::vector<double> speeds)
 
 std::string FixedListSpeeds::name() const { return "fixed"; }
 
-double FixedListSpeeds::draw(Rng&) const {
-  const double s = speeds_[next_];
-  next_ = (next_ + 1) % speeds_.size();
-  return s;
+double FixedListSpeeds::draw(std::size_t worker, Rng&) const {
+  return speeds_[worker % speeds_.size()];
 }
 
 HomogeneousSpeeds::HomogeneousSpeeds(double speed) : speed_(speed) {
@@ -100,7 +98,7 @@ std::string HomogeneousSpeeds::name() const {
   return os.str();
 }
 
-double HomogeneousSpeeds::draw(Rng&) const { return speed_; }
+double HomogeneousSpeeds::draw(std::size_t, Rng&) const { return speed_; }
 
 PerturbationModel::PerturbationModel(double max_percent, double clamp_factor)
     : max_percent_(max_percent), clamp_factor_(clamp_factor) {

@@ -6,6 +6,7 @@
 // worker's speed drifts by up to q percent after every completed task.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,8 +20,11 @@ class SpeedModel {
  public:
   virtual ~SpeedModel() = default;
   virtual std::string name() const = 0;
-  /// One initial speed; must be > 0.
-  virtual double draw(Rng& rng) const = 0;
+  /// Initial speed of worker `worker` of the platform being drawn;
+  /// must be > 0. The random models ignore `worker` and draw from
+  /// `rng`. A model holds no draw state, so one instance can serve any
+  /// number of platforms and threads at once.
+  virtual double draw(std::size_t worker, Rng& rng) const = 0;
 };
 
 /// Speeds uniform in [lo, hi).
@@ -28,7 +32,7 @@ class UniformIntervalSpeeds final : public SpeedModel {
  public:
   UniformIntervalSpeeds(double lo, double hi);
   std::string name() const override;
-  double draw(Rng& rng) const override;
+  double draw(std::size_t worker, Rng& rng) const override;
   double lo() const noexcept { return lo_; }
   double hi() const noexcept { return hi_; }
 
@@ -41,7 +45,7 @@ class DiscreteSetSpeeds final : public SpeedModel {
  public:
   explicit DiscreteSetSpeeds(std::vector<double> speeds);
   std::string name() const override;
-  double draw(Rng& rng) const override;
+  double draw(std::size_t worker, Rng& rng) const override;
   const std::vector<double>& speeds() const noexcept { return speeds_; }
 
  private:
@@ -56,7 +60,7 @@ class TwoClassSpeeds final : public SpeedModel {
  public:
   TwoClassSpeeds(double slow, double fast, double fast_fraction);
   std::string name() const override;
-  double draw(Rng& rng) const override;
+  double draw(std::size_t worker, Rng& rng) const override;
   double slow() const noexcept { return slow_; }
   double fast() const noexcept { return fast_; }
   double fast_fraction() const noexcept { return fast_fraction_; }
@@ -67,24 +71,21 @@ class TwoClassSpeeds final : public SpeedModel {
   double fast_fraction_;
 };
 
-/// Replays a fixed list of speeds in order (cycling if more draws are
-/// requested than provided). Used by the single-draw experiments
+/// A fixed list of speeds: worker k runs at speeds[k % size()], on
+/// every platform drawn from it. Used by the single-draw experiments
 /// (Figures 2, 6, 11) where the paper fixes one arbitrary speed vector
-/// and sweeps a strategy parameter.
-///
-/// The replay cursor is internal mutable state: do not share one
-/// instance across concurrently running experiments (Campaign entries
-/// should each construct their own).
+/// and sweeps a strategy parameter. The draw is a pure function of the
+/// worker index, so parallel reps and campaign entries may share one
+/// instance.
 class FixedListSpeeds final : public SpeedModel {
  public:
   explicit FixedListSpeeds(std::vector<double> speeds);
   std::string name() const override;
-  double draw(Rng& rng) const override;
+  double draw(std::size_t worker, Rng& rng) const override;
   const std::vector<double>& speeds() const noexcept { return speeds_; }
 
  private:
   std::vector<double> speeds_;
-  mutable std::size_t next_ = 0;
 };
 
 /// Every worker runs at exactly the same speed.
@@ -92,7 +93,7 @@ class HomogeneousSpeeds final : public SpeedModel {
  public:
   explicit HomogeneousSpeeds(double speed = 100.0);
   std::string name() const override;
-  double draw(Rng& rng) const override;
+  double draw(std::size_t worker, Rng& rng) const override;
   double speed() const noexcept { return speed_; }
 
  private:

@@ -27,8 +27,6 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
           config.strategy = strategy;
           config.n = n;
           config.p = p;
-          // Fresh model per entry: some SpeedModels carry mutable draw
-          // state, so campaign entries must not share one.
           config.scenario = make_scenario(*resolved.platform);
           config.phase2_fraction = ph2;
           config.seed = *resolved.seed;

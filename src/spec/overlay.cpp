@@ -45,6 +45,14 @@ double parse_number_flag(const CliArgs& args, const std::string& key) {
 
 }  // namespace
 
+const std::vector<std::string>& spec_overlay_flags() {
+  static const std::vector<std::string> flags = {
+      "name", "kernel", "strategy", "strategies", "n", "p",
+      "beta", "phase2", "scenario", "reps", "seed", "timed",
+      "bandwidth", "latency", "lookahead", "lanes", "faults"};
+  return flags;
+}
+
 ScenarioSpec spec_overlay_from_cli(const CliArgs& args) {
   ScenarioSpec spec;
   if (args.has("name")) spec.name = args.get("name", "");

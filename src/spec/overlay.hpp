@@ -4,6 +4,9 @@
 // resolution, validation and compilation.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "common/cli.hpp"
 #include "spec/spec.hpp"
 
@@ -17,5 +20,9 @@ namespace hetsched {
 /// --jobs, ...) are not configuration and stay outside the spec.
 /// Throws SpecError on malformed values (field-named, range-checked).
 ScenarioSpec spec_overlay_from_cli(const CliArgs& args);
+
+/// The flag names spec_overlay_from_cli reads (without the leading
+/// "--"), for commands that check their flags against a known set.
+const std::vector<std::string>& spec_overlay_flags();
 
 }  // namespace hetsched

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace hetsched {
 namespace {
 
@@ -65,6 +69,42 @@ TEST(CliArgs, RejectsPositionalArguments) {
 
 TEST(CliArgs, RecordsProgramName) {
   EXPECT_EQ(parse({"myprog"}).program(), "myprog");
+}
+
+// The message require_known throws for `args`, or "" if it accepts.
+std::string rejection(const CliArgs& args,
+                      const std::vector<std::string>& known) {
+  try {
+    args.require_known(known, "run");
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliArgs, RequireKnownAcceptsKnownFlags) {
+  const CliArgs args = parse({"prog", "--strategy=RandomOuter", "--json"});
+  EXPECT_EQ(rejection(args, {"strategy", "json", "p"}), "");
+}
+
+TEST(CliArgs, RequireKnownSuggestsTheMisspelledFlag) {
+  const CliArgs args = parse({"prog", "--stratgy=Nope"});
+  EXPECT_EQ(rejection(args, {"strategy", "strategies", "p"}),
+            "run: unknown flag --stratgy (did you mean --strategy?)");
+}
+
+TEST(CliArgs, RequireKnownNamesEveryUnknownFlag) {
+  const CliArgs args =
+      parse({"prog", "--stratgy=Nope", "--bogus-flag=7", "--p=3"});
+  EXPECT_EQ(rejection(args, {"strategy", "p"}),
+            "run: unknown flag --bogus-flag; "
+            "unknown flag --stratgy (did you mean --strategy?)");
+}
+
+TEST(CliArgs, RequireKnownSuggestsNothingFarAway) {
+  const CliArgs args = parse({"prog", "--parallel=1"});
+  EXPECT_EQ(rejection(args, {"p", "reps", "lanes"}),
+            "run: unknown flag --parallel");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -205,6 +207,142 @@ TEST(SwapRemovePool, ManyResetCyclesStayConsistent) {
     pool.reset();
   }
   EXPECT_EQ(pool.size(), 16u);
+}
+
+// -- Look-ahead prefetch: a hint, never a result ----------------------
+// pop_random_unindexed prefetches with a private copy of the caller's
+// Rng that runs kLookAhead draws ahead. These tests run it in lockstep
+// with the plain swap-remove loop it replaced and require the same ids
+// and the same final caller Rng state through every way the
+// look-ahead can go stale.
+
+// The reference: rng.next_below(size) and a swap-remove, nothing else.
+// insert appends and remove swaps the last id into the hole, as the
+// pool does.
+struct ReferencePool {
+  std::vector<std::uint64_t> ids;
+
+  explicit ReferencePool(std::uint64_t n) : ids(n) {
+    std::iota(ids.begin(), ids.end(), 0);
+  }
+  std::uint64_t pop(Rng& rng) {
+    const std::uint64_t pos = rng.next_below(ids.size());
+    const std::uint64_t id = ids[pos];
+    ids[pos] = ids.back();
+    ids.pop_back();
+    return id;
+  }
+  void remove(std::uint64_t id) {
+    const auto it = std::find(ids.begin(), ids.end(), id);
+    ASSERT_NE(it, ids.end());
+    *it = ids.back();
+    ids.pop_back();
+  }
+};
+
+// Same state <=> same future stream (compared on copies).
+void expect_same_rng_state(Rng a, Rng b) {
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(a.next_u64(), b.next_u64()) << i;
+}
+
+// Pops `count` ids from both, asserting every id matches.
+void pop_lockstep(SwapRemovePool& pool, Rng& rng, ReferencePool& ref,
+                  Rng& ref_rng, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ASSERT_EQ(pool.pop_random_unindexed(rng), ref.pop(ref_rng)) << i;
+    ASSERT_EQ(pool.size(), ref.ids.size());
+  }
+}
+
+TEST(SwapRemovePoolLookAhead, FullDrainMatchesPlainLoop) {
+  SwapRemovePool pool(5000);
+  ReferencePool ref(5000);
+  Rng rng(91), ref_rng(91);
+  pop_lockstep(pool, rng, ref, ref_rng, 5000);
+  EXPECT_TRUE(pool.empty());
+  expect_same_rng_state(rng, ref_rng);
+}
+
+TEST(SwapRemovePoolLookAhead, ResetWithReseededRngMatchesPlainLoop) {
+  SwapRemovePool pool(700);
+  ReferencePool ref(700);
+  Rng rng(3), ref_rng(3);
+  pop_lockstep(pool, rng, ref, ref_rng, 300);
+  // A new replication: pool rewound, caller's Rng replaced. The
+  // look-ahead still follows the old stream and must not leak into
+  // the new one.
+  pool.reset();
+  ref = ReferencePool(700);
+  rng = Rng(4);
+  ref_rng = Rng(4);
+  pop_lockstep(pool, rng, ref, ref_rng, 700);
+  expect_same_rng_state(rng, ref_rng);
+}
+
+TEST(SwapRemovePoolLookAhead, RequeueInsertsPartwayMatchPlainLoop) {
+  SwapRemovePool pool(1000);
+  ReferencePool ref(1000);
+  Rng rng(17), ref_rng(17);
+  std::vector<std::uint64_t> popped;
+  for (int i = 0; i < 400; ++i) {
+    popped.push_back(pool.pop_random_unindexed(rng));
+    ASSERT_EQ(popped.back(), ref.pop(ref_rng)) << i;
+  }
+  // Crash requeue: a few served ids come back mid-drain.
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t id = popped[static_cast<std::size_t>(i * 37)];
+    ASSERT_TRUE(pool.insert(id));
+    ref.ids.push_back(id);
+  }
+  pop_lockstep(pool, rng, ref, ref_rng, 300);
+  ASSERT_TRUE(pool.insert(popped[1]));  // and once more, later
+  ref.ids.push_back(popped[1]);
+  pop_lockstep(pool, rng, ref, ref_rng, ref.ids.size());
+  EXPECT_TRUE(pool.empty());
+  expect_same_rng_state(rng, ref_rng);
+}
+
+TEST(SwapRemovePoolLookAhead, IndexedOperationsAfterUnindexedPopsMatch) {
+  SwapRemovePool pool(600);
+  ReferencePool ref(600);
+  Rng rng(23), ref_rng(23);
+  pop_lockstep(pool, rng, ref, ref_rng, 150);
+  // contains() forces reindex(); the membership it reports must be the
+  // reference's.
+  const std::set<std::uint64_t> present(ref.ids.begin(), ref.ids.end());
+  for (std::uint64_t id = 0; id < 600; ++id) {
+    ASSERT_EQ(pool.contains(id), present.count(id) == 1) << id;
+  }
+  pop_lockstep(pool, rng, ref, ref_rng, 50);
+  // remove() shrinks the pool off the look-ahead's track.
+  const std::uint64_t victim = ref.ids[ref.ids.size() / 2];
+  ASSERT_TRUE(pool.remove(victim));
+  ref.remove(victim);
+  pop_lockstep(pool, rng, ref, ref_rng, 100);
+  // An indexed pop draws on the same Rng.
+  ASSERT_EQ(pool.pop_random(rng), ref.pop(ref_rng));
+  pop_lockstep(pool, rng, ref, ref_rng, ref.ids.size());
+  EXPECT_TRUE(pool.empty());
+  expect_same_rng_state(rng, ref_rng);
+}
+
+TEST(SwapRemovePoolLookAhead, PoolsSmallerThanLookAheadMatch) {
+  for (std::uint64_t n = 1; n <= SwapRemovePool::kLookAhead + 2; ++n) {
+    SCOPED_TRACE(n);
+    SwapRemovePool pool(n);
+    ReferencePool ref(n);
+    Rng rng(n), ref_rng(n);
+    pop_lockstep(pool, rng, ref, ref_rng, n);
+    EXPECT_TRUE(pool.empty());
+    expect_same_rng_state(rng, ref_rng);
+    // Refill from empty one id at a time (size 1 each time).
+    for (std::uint64_t id = 0; id < n; ++id) {
+      ASSERT_TRUE(pool.insert(id));
+      ref.ids.push_back(id);
+      pop_lockstep(pool, rng, ref, ref_rng, 1);
+    }
+    expect_same_rng_state(rng, ref_rng);
+  }
 }
 
 }  // namespace

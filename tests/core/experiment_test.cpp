@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "common/rng.hpp"
+#include "obs/profiler.hpp"
 
 #include "runtime/thread_pool.hpp"
 
@@ -243,6 +247,64 @@ TEST(RunExperiment, NestedAutoFallsBackToSerialWhenBudgetDrained) {
     EXPECT_EQ(result.rep_parallelism, 1u);
   }
   set_parallel_budget_capacity(0);
+}
+
+// Rep contexts are cached per executing thread, not per stat shard:
+// the figure protocol's few reps (fewer than kRepShards, so one rep per
+// shard) must still rewind one strategy instead of building one per rep.
+TEST(RunExperiment, SerialRepsBuildOnceAndResetAfter) {
+  for (const char* name : {"DynamicMatrix2Phases", "RandomMatrix"}) {
+    SCOPED_TRACE(name);
+    ExperimentConfig config;
+    config.kernel = Kernel::kMatmul;
+    config.strategy = name;
+    config.n = 10;
+    config.p = 4;
+    config.reps = 3;
+    config.seed = 2014;
+    config.parallelism = 1;
+    config.profile = true;
+    const ExperimentResult result = run_experiment(config);
+    EXPECT_EQ(result.profile.site(ProfSite::kStrategyBuild).calls, 1u);
+    EXPECT_EQ(result.profile.site(ProfSite::kStrategyReset).calls, 2u);
+    for (std::uint32_t r = 0; r < config.reps; ++r) {
+      const RepOutcome fresh = run_single(
+          config, derive_stream(config.seed, "rep." + std::to_string(r)));
+      EXPECT_EQ(result.reps[r].sim.makespan, fresh.sim.makespan) << r;
+      EXPECT_EQ(result.reps[r].sim.total_blocks, fresh.sim.total_blocks)
+          << r;
+      EXPECT_EQ(result.reps[r].normalized, fresh.normalized) << r;
+    }
+  }
+}
+
+TEST(RunExperiment, ParallelRepsBuildAtMostOncePerThread) {
+  ExperimentConfig config;
+  config.kernel = Kernel::kOuter;
+  config.strategy = "DynamicOuter2Phases";
+  config.n = 16;
+  config.p = 4;
+  config.reps = 12;
+  config.seed = 5;
+  config.profile = true;
+  config.parallelism = 1;
+  const ExperimentResult serial = run_experiment(config);
+  for (const std::uint32_t threads : {2u, 3u}) {
+    SCOPED_TRACE(threads);
+    config.parallelism = threads;
+    const ExperimentResult parallel = run_experiment(config);
+    const std::uint64_t builds =
+        parallel.profile.site(ProfSite::kStrategyBuild).calls;
+    EXPECT_GE(builds, 1u);
+    EXPECT_LE(builds, threads);
+    EXPECT_EQ(builds + parallel.profile.site(ProfSite::kStrategyReset).calls,
+              config.reps);
+    for (std::size_t r = 0; r < serial.reps.size(); ++r) {
+      EXPECT_EQ(parallel.reps[r].sim.total_blocks,
+                serial.reps[r].sim.total_blocks);
+      EXPECT_EQ(parallel.reps[r].normalized, serial.reps[r].normalized);
+    }
+  }
 }
 
 TEST(AnalysisRatioFor, MatchesDirectConstruction) {

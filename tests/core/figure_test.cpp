@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
+
+#include "runtime/thread_pool.hpp"
 
 namespace hetsched {
 namespace {
@@ -45,6 +48,41 @@ TEST(SweepBeta, CoversRequestedBetasWithAnalysis) {
   // The pure-dynamic reference is the same flat series at every beta.
   EXPECT_DOUBLE_EQ(points[0].normalized.at("DynamicOuter").mean,
                    points[2].normalized.at("DynamicOuter").mean);
+}
+
+void expect_same_points(const std::vector<SweepPoint>& a,
+                        const std::vector<SweepPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].normalized.size(), b[i].normalized.size());
+    for (const auto& [name, summary] : a[i].normalized) {
+      SCOPED_TRACE(name);
+      const Summary& other = b[i].normalized.at(name);
+      EXPECT_EQ(summary.mean, other.mean);
+      EXPECT_EQ(summary.stddev, other.stddev);
+      EXPECT_EQ(summary.min, other.min);
+      EXPECT_EQ(summary.max, other.max);
+    }
+  }
+}
+
+// The fixed-draw sweeps (Figures 2, 6, 11) share one FixedListSpeeds
+// across every rep and experiment they run. Its draw depends only on
+// the worker index, so a sweep whose reps run in parallel must repeat
+// bit for bit and match the serial sweep.
+TEST(SweepBeta, FixedDrawIsBitIdenticalUnderAutoParallelism) {
+  const auto sweep = [] {
+    return sweep_beta(Kernel::kOuter, 20, 64, {2.0, 5.0},
+                      paper_default_scenario(), 21, 16);
+  };
+  set_parallel_budget_capacity(1);
+  const auto serial = sweep();
+  set_parallel_budget_capacity(4);
+  const auto first = sweep();
+  const auto second = sweep();
+  set_parallel_budget_capacity(0);
+  expect_same_points(first, second);
+  expect_same_points(serial, first);
 }
 
 TEST(SweepPhase1Fraction, EndpointsMatchLimitStrategies) {

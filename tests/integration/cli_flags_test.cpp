@@ -1,0 +1,131 @@
+// End-to-end checks of hetsched_cli's flag handling: every command
+// rejects a misspelled or unknown flag before it runs anything, and
+// accepts every flag its help text documents.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cctype>
+#include <cstdio>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+
+namespace {
+
+struct CliRun {
+  int status = -1;
+  std::string output;  // stdout and stderr
+};
+
+CliRun run_cli(const std::string& args) {
+  const std::string command =
+      std::string(HETSCHED_CLI_PATH) + " " + args + " 2>&1";
+  CliRun run;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buffer[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
+    run.output.append(buffer, got);
+  }
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.status = WEXITSTATUS(status);
+  return run;
+}
+
+std::size_t count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+const char* kCommands[] = {"run",      "sweep",    "tune",    "partition",
+                           "dag",      "campaign", "validate", "analyze"};
+
+TEST(CliFlags, MisspelledFlagFailsWithSuggestion) {
+  const CliRun run = run_cli("run --stratgy=Nope --bogus-flag=7");
+  EXPECT_EQ(run.status, 1) << run.output;
+  EXPECT_NE(run.output.find(
+                "unknown flag --stratgy (did you mean --strategy?)"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("unknown flag --bogus-flag"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("normalized volume"), std::string::npos)
+      << "the experiment ran despite the bad flags";
+}
+
+TEST(CliFlags, UnknownFlagFailsOnEveryCommand) {
+  for (const char* command : kCommands) {
+    SCOPED_TRACE(command);
+    const CliRun run = run_cli(std::string(command) + " --bogus-flag=7");
+    EXPECT_EQ(run.status, 1) << run.output;
+    EXPECT_NE(run.output.find(std::string(command) +
+                              ": unknown flag --bogus-flag"),
+              std::string::npos)
+        << run.output;
+  }
+}
+
+// Parses `hetsched_cli help` into command -> the flags its section
+// documents. A section starts at a line "  <command>  ..." and runs
+// over the lines indented below it.
+std::map<std::string, std::set<std::string>> documented_flags() {
+  const CliRun help = run_cli("help");
+  EXPECT_EQ(help.status, 0);
+  const auto is_flag_char = [](char c) {
+    return std::islower(static_cast<unsigned char>(c)) ||
+           std::isdigit(static_cast<unsigned char>(c)) || c == '-';
+  };
+  std::map<std::string, std::set<std::string>> out;
+  std::string current;
+  std::istringstream lines(help.output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() > 2 && line.rfind("  ", 0) == 0 &&
+        std::islower(static_cast<unsigned char>(line[2]))) {
+      current = line.substr(2, line.find(' ', 2) - 2);
+      out[current];
+    } else if (line.rfind("   ", 0) != 0) {
+      current.clear();  // unindented text ends the section
+    }
+    if (current.empty()) continue;
+    for (auto at = line.find("--"); at != std::string::npos;
+         at = line.find("--", at + 2)) {
+      std::size_t end = at + 2;
+      while (end < line.size() && is_flag_char(line[end])) ++end;
+      if (end > at + 2) out[current].insert(line.substr(at + 2, end - at - 2));
+    }
+  }
+  out.erase("help");
+  return out;
+}
+
+TEST(CliFlags, EveryDocumentedFlagIsAccepted) {
+  const auto documented = documented_flags();
+  ASSERT_EQ(documented.size(), std::size(kCommands));
+  for (const auto& [command, flags] : documented) {
+    SCOPED_TRACE(command);
+    // Pass every documented flag plus one unknown flag: the rejection
+    // names every flag the command does not know, so it must name the
+    // unknown one and nothing else.
+    std::string args = command;
+    for (const std::string& f : flags) args += " --" + f + "=1";
+    args += " --zz-not-a-flag=1";
+    const CliRun run = run_cli(args);
+    EXPECT_EQ(run.status, 1) << run.output;
+    EXPECT_EQ(count(run.output, "unknown flag"), 1u) << run.output;
+    EXPECT_NE(run.output.find("unknown flag --zz-not-a-flag"),
+              std::string::npos)
+        << run.output;
+  }
+  // Spot-check the parse itself.
+  EXPECT_TRUE(documented.at("run").count("strategy"));
+  EXPECT_TRUE(documented.at("campaign").count("jobs"));
+  EXPECT_TRUE(documented.at("analyze").count("md-out"));
+}
+
+}  // namespace

@@ -205,7 +205,11 @@ TEST(RunExperimentProfile, OverheadUnderOnePercentOfFigureProtocol) {
 
 // Shard-order merging makes the profile's *shape* independent of the
 // thread count: call counts must match exactly between parallelism 1
-// and 4 (the ns values are wall-clock and naturally differ).
+// and 4 (the ns values are wall-clock and naturally differ). The one
+// exception is how a rep gets its strategy: rep contexts are cached
+// per executing thread, so each thread builds once and resets after —
+// one build serially, at most 4 at parallelism 4 — while build + reset
+// stays one call per rep.
 TEST(RunExperimentProfile, CallCountsIndependentOfParallelism) {
   ExperimentConfig config = figure_protocol_config();
   config.n = 20;
@@ -216,10 +220,20 @@ TEST(RunExperimentProfile, CallCountsIndependentOfParallelism) {
   const ExperimentResult serial = run_experiment(config);
   config.parallelism = 4;
   const ExperimentResult parallel = run_experiment(config);
+  const auto build = static_cast<std::size_t>(ProfSite::kStrategyBuild);
+  const auto reset = static_cast<std::size_t>(ProfSite::kStrategyReset);
   for (std::size_t s = 0; s < kNumProfSites; ++s) {
+    if (s == build || s == reset) continue;
     EXPECT_EQ(serial.profile.sites[s].calls, parallel.profile.sites[s].calls)
         << to_string(static_cast<ProfSite>(s));
   }
+  EXPECT_EQ(serial.profile.sites[build].calls, 1u);
+  EXPECT_LE(parallel.profile.sites[build].calls, 4u);
+  EXPECT_EQ(serial.profile.sites[build].calls + serial.profile.sites[reset].calls,
+            config.reps);
+  EXPECT_EQ(
+      parallel.profile.sites[build].calls + parallel.profile.sites[reset].calls,
+      config.reps);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ TEST(Scenario, PaperDefaultIsUniform10To100) {
   EXPECT_FALSE(s.perturbation.enabled());
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
-    const double v = s.speeds->draw(rng);
+    const double v = s.speeds->draw(0, rng);
     EXPECT_GE(v, 10.0);
     EXPECT_LT(v, 100.0);
   }
@@ -24,7 +24,7 @@ TEST(Scenario, HeterogeneityBoundsSpeeds) {
   const Scenario s = heterogeneity_scenario(40.0);
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) {
-    const double v = s.speeds->draw(rng);
+    const double v = s.speeds->draw(0, rng);
     EXPECT_GE(v, 60.0);
     EXPECT_LT(v, 140.0);
   }
@@ -33,7 +33,7 @@ TEST(Scenario, HeterogeneityBoundsSpeeds) {
 TEST(Scenario, HeterogeneityZeroIsHomogeneous) {
   const Scenario s = heterogeneity_scenario(0.0);
   Rng rng(3);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(s.speeds->draw(rng), 100.0);
+  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(s.speeds->draw(0, rng), 100.0);
 }
 
 TEST(Scenario, HeterogeneityRejectsOutOfRange) {
@@ -63,7 +63,7 @@ TEST_P(NamedScenarioTest, MatchesPaperDefinition) {
   EXPECT_NEAR(s.perturbation.max_percent(), c.perturb, 1e-12);
   Rng rng(4);
   for (int i = 0; i < 500; ++i) {
-    const double v = s.speeds->draw(rng);
+    const double v = s.speeds->draw(0, rng);
     EXPECT_GE(v, c.lo);
     EXPECT_LE(v, c.hi);
   }
@@ -89,7 +89,7 @@ TEST(Scenario, Set3DrawsExactlyTheThreeClasses) {
   const Scenario s = named_scenario("set.3");
   Rng rng(5);
   for (int i = 0; i < 300; ++i) {
-    const double v = s.speeds->draw(rng);
+    const double v = s.speeds->draw(0, rng);
     EXPECT_TRUE(v == 80.0 || v == 100.0 || v == 150.0) << v;
   }
 }
@@ -111,8 +111,8 @@ TEST(Scenario, Figure8ListIsCompleteAndOrdered) {
 TEST(Scenario, HomIsHomogeneous) {
   const Scenario s = named_scenario("hom");
   Rng rng(6);
-  EXPECT_DOUBLE_EQ(s.speeds->draw(rng), 100.0);
-  EXPECT_DOUBLE_EQ(s.speeds->draw(rng), 100.0);
+  EXPECT_DOUBLE_EQ(s.speeds->draw(0, rng), 100.0);
+  EXPECT_DOUBLE_EQ(s.speeds->draw(0, rng), 100.0);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ TEST(UniformIntervalSpeeds, DrawsInsideInterval) {
   UniformIntervalSpeeds model(10.0, 100.0);
   Rng rng(1);
   for (int i = 0; i < 10000; ++i) {
-    const double s = model.draw(rng);
+    const double s = model.draw(0, rng);
     EXPECT_GE(s, 10.0);
     EXPECT_LT(s, 100.0);
   }
@@ -18,7 +18,7 @@ TEST(UniformIntervalSpeeds, DrawsInsideInterval) {
 TEST(UniformIntervalSpeeds, DegenerateIntervalIsConstant) {
   UniformIntervalSpeeds model(42.0, 42.0);
   Rng rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(model.draw(rng), 42.0);
+  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(model.draw(0, rng), 42.0);
 }
 
 TEST(UniformIntervalSpeeds, RejectsBadBounds) {
@@ -35,7 +35,7 @@ TEST(DiscreteSetSpeeds, DrawsOnlyFromSet) {
   DiscreteSetSpeeds model({80.0, 100.0, 150.0});
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) {
-    const double s = model.draw(rng);
+    const double s = model.draw(0, rng);
     EXPECT_TRUE(s == 80.0 || s == 100.0 || s == 150.0) << s;
   }
 }
@@ -45,7 +45,7 @@ TEST(DiscreteSetSpeeds, CoversWholeSet) {
   Rng rng(3);
   bool saw1 = false, saw2 = false, saw3 = false;
   for (int i = 0; i < 200; ++i) {
-    const double s = model.draw(rng);
+    const double s = model.draw(0, rng);
     saw1 |= s == 1.0;
     saw2 |= s == 2.0;
     saw3 |= s == 3.0;
@@ -61,7 +61,7 @@ TEST(DiscreteSetSpeeds, RejectsEmptyOrNonPositive) {
 TEST(HomogeneousSpeeds, AlwaysSameSpeed) {
   HomogeneousSpeeds model(123.0);
   Rng rng(4);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(model.draw(rng), 123.0);
+  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(model.draw(0, rng), 123.0);
 }
 
 TEST(HomogeneousSpeeds, RejectsNonPositive) {
@@ -71,10 +71,11 @@ TEST(HomogeneousSpeeds, RejectsNonPositive) {
 TEST(FixedListSpeeds, ReplaysInOrderAndCycles) {
   FixedListSpeeds model({10.0, 20.0, 30.0});
   Rng rng(5);
-  EXPECT_DOUBLE_EQ(model.draw(rng), 10.0);
-  EXPECT_DOUBLE_EQ(model.draw(rng), 20.0);
-  EXPECT_DOUBLE_EQ(model.draw(rng), 30.0);
-  EXPECT_DOUBLE_EQ(model.draw(rng), 10.0);  // wraps
+  EXPECT_DOUBLE_EQ(model.draw(0, rng), 10.0);
+  EXPECT_DOUBLE_EQ(model.draw(1, rng), 20.0);
+  EXPECT_DOUBLE_EQ(model.draw(2, rng), 30.0);
+  EXPECT_DOUBLE_EQ(model.draw(3, rng), 10.0);  // wraps
+  EXPECT_DOUBLE_EQ(model.draw(1, rng), 20.0);  // no cursor: by index only
 }
 
 TEST(FixedListSpeeds, RejectsEmptyOrNonPositive) {

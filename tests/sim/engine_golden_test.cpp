@@ -117,5 +117,34 @@ TEST(EngineGolden, FaultedRandomMatmulIsBitIdentical) {
        {31, 78, 0x1.8ccccccccccdp-2, 0x1.8ccccccccccdp-2, 0x1.4p+6}});
 }
 
+TEST(EngineGolden, CrashRequeueRandomMatrixAtScaleIsBitIdentical) {
+  // RandomMatrix over a 64000-task pool, far above the look-ahead depth
+  // of SwapRemovePool::pop_random_unindexed, with two crashes mid-drain
+  // whose requeues re-enter the pool; then a second rep on the same
+  // strategy after reset(). Captured before the pool prefetched ahead:
+  // the look-ahead must not change a single draw. (Makespan does not
+  // depend on which random task is served; total_blocks does.)
+  auto strategy =
+      make_matmul_strategy("RandomMatrix", MatmulConfig{40}, 6, 4242);
+  const Platform platform({13.0, 29.0, 41.0, 53.0, 71.0, 97.0});
+  SimConfig config;
+  config.seed = 4242;
+  config.faults = {WorkerFault{50.0, 2, 0.0}, WorkerFault{120.0, 5, 0.0}};
+  const SimResult first = simulate(*strategy, platform, config);
+  EXPECT_EQ(first.makespan, 0x1.2f1a7b9611c7cp+8);
+  EXPECT_EQ(first.total_blocks, 27084u);
+  EXPECT_EQ(first.total_tasks_done, 64000u);
+  EXPECT_EQ(first.requeued_tasks, 2u);
+  EXPECT_EQ(first.crashed_workers, 2u);
+
+  ASSERT_TRUE(strategy->reset(4243));
+  config.seed = 4243;
+  const SimResult second = simulate(*strategy, platform, config);
+  EXPECT_EQ(second.makespan, 0x1.2f1a7b9611c7cp+8);
+  EXPECT_EQ(second.total_blocks, 27112u);
+  EXPECT_EQ(second.total_tasks_done, 64000u);
+  EXPECT_EQ(second.requeued_tasks, 2u);
+}
+
 }  // namespace
 }  // namespace hetsched

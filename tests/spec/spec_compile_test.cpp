@@ -102,13 +102,13 @@ TEST(SpecCompile, EntriesGetFreshScenarioInstances) {
   const CompiledCampaign compiled =
       compile_spec(resolved(std::move(spec), batch_spec_defaults()));
   ASSERT_EQ(compiled.entries.size(), 2u);
-  // FixedListSpeeds carries a mutable replay cursor: shared instances
-  // would interleave their draws across entries.
+  // Each entry gets its own model, and each replays the list from
+  // worker 0.
   EXPECT_NE(compiled.entries[0].config.scenario.speeds.get(),
             compiled.entries[1].config.scenario.speeds.get());
   Rng rng(1);
-  EXPECT_EQ(compiled.entries[0].config.scenario.speeds->draw(rng), 10.0);
-  EXPECT_EQ(compiled.entries[1].config.scenario.speeds->draw(rng), 10.0);
+  EXPECT_EQ(compiled.entries[0].config.scenario.speeds->draw(0, rng), 10.0);
+  EXPECT_EQ(compiled.entries[1].config.scenario.speeds->draw(0, rng), 10.0);
 }
 
 TEST(SpecCompile, CompileValidates) {

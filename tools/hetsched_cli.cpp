@@ -103,6 +103,7 @@ int usage() {
       "             --kernel=... [--p=10,50,100] [--strategies=a,b,c]\n"
       "             [--analysis] [--json] [--spec=FILE.hspec]\n"
       "  tune       print the analysis-optimal beta for (kernel, p, n)\n"
+      "             [--kernel=outer|matmul] [--p=20] [--n=]\n"
       "  partition  static 7/4 rectangle partition for explicit speeds\n"
       "             --speeds=10,40,25,25 [--n=100]\n"
       "  dag        compare ready-task policies on a factorization graph\n"
@@ -118,6 +119,8 @@ int usage() {
       "             [--faults=...] [--lanes=]\n"
       "             [--spec=FILE.hspec]  load a scenario spec; flags\n"
       "                                  override its fields\n"
+      "             [--jobs=N]           campaign threads (default: the\n"
+      "                                  parallelism budget)\n"
       "             [--progress] [--progress-out=FILE]\n"
       "             [--progress-interval=SEC]\n"
       "  validate   check a .hspec spec end to end without running it;\n"
@@ -128,7 +131,9 @@ int usage() {
       "             path, ODE-divergence verdict\n"
       "             --trace=FILE [--json] [--json-out=FILE] [--md-out=FILE]\n"
       "             [--alarm=0.15] [--support=0.02] [--profile]\n"
-      "  help       this text\n";
+      "  help       this text\n"
+      "\n"
+      "Every command rejects flags it does not know.\n";
   return 2;
 }
 
@@ -561,6 +566,38 @@ int cmd_analyze(const CliArgs& args) {
   return 0;
 }
 
+// Each command with every flag it reads. Flags outside the set are
+// rejected before the command runs: a misspelled flag would otherwise
+// be ignored and the command would run on the default.
+struct Command {
+  const char* name;
+  int (*run)(const CliArgs&);
+  bool spec_flags;  // also reads --spec and the spec overlay flags
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"run", cmd_run, true,
+       {"json", "details", "profile", "trace-out", "metrics-out",
+        "events-out", "sample-interval", "progress", "progress-out",
+        "progress-interval"}},
+      {"sweep", cmd_sweep, true, {"analysis", "json"}},
+      {"tune", cmd_tune, false, {"kernel", "p", "n"}},
+      {"partition", cmd_partition, false, {"speeds", "n"}},
+      {"dag", cmd_dag, false,
+       {"factorization", "tiles", "p", "reps", "seed", "events-out",
+        "policy"}},
+      {"campaign", cmd_campaign, true,
+       {"jobs", "progress", "progress-out", "progress-interval"}},
+      {"validate", cmd_validate, true, {"canonical"}},
+      {"analyze", cmd_analyze, false,
+       {"trace", "json", "json-out", "md-out", "alarm", "support",
+        "profile"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -568,17 +605,20 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     const CliArgs args(argc - 1, argv + 1);
-    if (command == "run") return cmd_run(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "tune") return cmd_tune(args);
-    if (command == "partition") return cmd_partition(args);
-    if (command == "dag") return cmd_dag(args);
-    if (command == "campaign") return cmd_campaign(args);
-    if (command == "validate") return cmd_validate(args);
-    if (command == "analyze") return cmd_analyze(args);
     if (command == "help" || command == "--help") {
       usage();
       return 0;
+    }
+    for (const Command& c : commands()) {
+      if (command != c.name) continue;
+      std::vector<std::string> known = c.flags;
+      if (c.spec_flags) {
+        known.push_back("spec");
+        const auto& overlay = spec_overlay_flags();
+        known.insert(known.end(), overlay.begin(), overlay.end());
+      }
+      args.require_known(known, command);
+      return c.run(args);
     }
     std::cerr << "unknown command: " << command << "\n\n";
     return usage();
