@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -58,6 +59,30 @@ inline std::vector<std::uint32_t> to_u32(const std::vector<std::int64_t>& v) {
 /// The worker-count grid used by the paper's p-sweeps (Figures 1-10).
 inline std::vector<std::int64_t> default_p_grid() {
   return {10, 20, 50, 100, 150, 200, 250, 300};
+}
+
+/// The flags maybe_dump_trajectory reads (without the leading "--"),
+/// for the benches that call it to pass to require_flags.
+inline const std::vector<std::string>& trajectory_flags() {
+  static const std::vector<std::string> flags = {
+      "trace-out", "metrics-out", "traj-strategy", "traj-p",
+      "sample-interval"};
+  return flags;
+}
+
+/// Rejects every flag outside `known` and `also` before the bench runs
+/// anything: prints CliArgs::require_known's message, which names the
+/// closest known flag, and exits 1.
+inline void require_flags(const CliArgs& args, std::vector<std::string> known,
+                          const std::vector<std::string>& also = {}) {
+  known.insert(known.end(), also.begin(), also.end());
+  const std::string& program = args.program();
+  try {
+    args.require_known(known, program.substr(program.rfind('/') + 1));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(1);
+  }
 }
 
 /// Shared observability flags for figure benches. When --trace-out=

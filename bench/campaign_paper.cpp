@@ -9,6 +9,7 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"jobs", "reps", "seed"});
   const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto parallelism = static_cast<unsigned>(args.get_int("jobs", 0));

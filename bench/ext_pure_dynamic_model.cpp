@@ -14,6 +14,7 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"p", "reps", "seed"});
   const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto ps = bench::to_u32(args.get_int_list("p", {10, 20, 50, 100, 200}));

@@ -15,6 +15,7 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"p", "reps", "seed", "tiles"});
   const auto tiles = static_cast<std::uint32_t>(args.get_int("tiles", 20));
   const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
   const std::uint64_t seed = args.get_int("seed", 20140623);

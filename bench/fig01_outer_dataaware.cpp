@@ -6,6 +6,8 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"n", "p", "reps", "seed"},
+                       bench::trajectory_flags());
   const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
   const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 10));
   const std::uint64_t seed = args.get_int("seed", 20140623);

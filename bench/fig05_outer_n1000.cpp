@@ -6,6 +6,7 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"n", "p", "reps", "seed"});
   const auto n = static_cast<std::uint32_t>(args.get_int("n", 1000));
   const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 3));
   const std::uint64_t seed = args.get_int("seed", 20140623);

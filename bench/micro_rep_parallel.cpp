@@ -27,6 +27,8 @@ double time_once(hetsched::ExperimentConfig config, std::uint32_t parallelism,
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args,
+                       {"maxthreads", "n", "p", "reps", "seed", "strategy"});
 
   ExperimentConfig config;
   config.kernel = Kernel::kOuter;

@@ -17,8 +17,13 @@
 //
 // Every ns metric is also reported as a ratio over the heap baseline so
 // CI can compare against bench/baselines/perf_smoke.json without being
-// fooled by runner speed. --large additionally runs the full
-// N/l = 1000 matrix-multiplication instances (minutes, not for CI).
+// fooled by runner speed. The heap unit and the gated request rows are
+// medians of kSamples interleaved rounds (one heap sample, then one
+// sample of every request row), each written with its interquartile
+// range under a sibling "_iqr" key; a request row's ratio is the median
+// of its per-round ratios over that round's heap sample. --large
+// additionally runs the full N/l = 1000 matrix-multiplication instances
+// (minutes, not for CI).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -42,7 +47,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "platform/speed_model.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -61,8 +65,29 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
+/// Rounds per gated row (see the header comment).
+constexpr std::uint64_t kSamples = 7;
+
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// Median and interquartile range, quartiles linearly interpolated.
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
 /// Raw binary-heap churn, the host-speed unit: ns per push+pop at a
 /// fixed depth (mirrors BM_HeapBaseline in micro_scheduler_overhead).
+/// One sample: 2 * 10^6 ops, about 0.2 s.
 double heap_ns_per_op() {
   using Entry = std::pair<double, std::uint64_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
@@ -70,7 +95,7 @@ double heap_ns_per_op() {
   std::uint64_t seq = 0;
   double t = 0.0;
   for (int i = 0; i < kDepth; ++i) heap.push({t += 0.7, seq++});
-  constexpr std::uint64_t kOps = 10'000'000;
+  constexpr std::uint64_t kOps = 2'000'000;
   volatile std::uint64_t sink = 0;
   const double start = now_sec();
   for (std::uint64_t i = 0; i < kOps; ++i) {
@@ -141,7 +166,7 @@ double pool_pop_random_unindexed_ns() {
   TaskPool pool(kIds);
   std::vector<double> samples;
   std::uint64_t sink = 0;
-  for (std::uint64_t k = 0; k < 7; ++k) {
+  for (std::uint64_t k = 0; k < kSamples; ++k) {
     pool.reset();
     Rng rng(derive_stream(k, "perf_smoke.pool"));
     const double start = now_sec();
@@ -149,19 +174,19 @@ double pool_pop_random_unindexed_ns() {
     samples.push_back((now_sec() - start) * 1e9 / static_cast<double>(kIds));
   }
   if (sink == 0) std::cerr << "";
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return spread_of(samples).median;
 }
 
-/// Master-side ns/request: drain a fresh instance to exhaustion through
-/// the request path, timing only the drain.
+/// Master-side ns/request: drain fresh instances to exhaustion through
+/// the request path, timing only the drains. One sample: the same seed
+/// sequence every time, drains repeated until 0.1 s is spent.
 double request_ns(bool outer, const std::string& name) {
   const std::uint32_t workers = 16;
   std::uint64_t requests = 0;
   double elapsed = 0.0;
   std::uint64_t seed = 0;
   std::uint64_t sink = 0;
-  while (elapsed < 0.3) {
+  while (elapsed < 0.1) {
     std::unique_ptr<Strategy> strategy;
     if (outer) {
       OuterStrategyOptions options;
@@ -187,46 +212,6 @@ double request_ns(bool outer, const std::string& name) {
     elapsed += now_sec() - start;
   }
   if (sink == 0) std::cerr << "";  // keep the accumulator observable
-  return elapsed * 1e9 / static_cast<double>(requests);
-}
-
-/// Master-side ns/request for the pure data-aware strategies with an
-/// intra-rep lane team. Measured under a forced 16-slot parallelism
-/// budget so the requested lanes are actually granted on any runner;
-/// lanes=1 is the zero-cost control the CI gate compares against the
-/// plain request_ns numbers.
-double lane_request_ns(bool outer, const std::string& name,
-                       std::uint32_t lanes) {
-  const std::uint32_t workers = 16;
-  std::uint64_t requests = 0;
-  double elapsed = 0.0;
-  std::uint64_t seed = 0;
-  std::uint64_t sink = 0;
-  while (elapsed < 0.3) {
-    std::unique_ptr<Strategy> strategy;
-    if (outer) {
-      OuterStrategyOptions options;
-      options.lanes = lanes;
-      strategy =
-          make_outer_strategy(name, OuterConfig{100}, workers, ++seed, options);
-    } else {
-      MatmulStrategyOptions options;
-      options.lanes = lanes;
-      strategy =
-          make_matmul_strategy(name, MatmulConfig{40}, workers, ++seed, options);
-    }
-    strategy->prepare_lanes();
-    std::uint32_t next_worker = 0;
-    Assignment scratch;
-    const double start = now_sec();
-    while (strategy->on_request(next_worker, scratch)) {
-      sink += scratch.task_count();  // scalars + run-encoded grants
-      ++requests;
-      next_worker = (next_worker + 1) % workers;
-    }
-    elapsed += now_sec() - start;
-  }
-  if (sink == 0) std::cerr << "";
   return elapsed * 1e9 / static_cast<double>(requests);
 }
 
@@ -290,10 +275,44 @@ ProfiledWorkload profiled_fig10_workload(std::uint32_t reps) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"large", "out"});
   const std::string out_path = args.get("out", "BENCH_PERF.json");
 
-  const double heap = heap_ns_per_op();
-  std::cerr << "# heap baseline: " << heap << " ns/op\n";
+  // Interleaved rounds: a heap sample, then one sample of every request
+  // row, so drift in host speed lands on the unit and the rows alike.
+  struct RequestRow {
+    bool outer;
+    std::string name;
+    std::vector<double> ns, ratio;  // one entry per round
+  };
+  std::vector<RequestRow> rows;
+  for (const char* name : {"RandomOuter", "SortedOuter", "DynamicOuter",
+                           "DynamicOuter2Phases"}) {
+    rows.push_back({true, name, {}, {}});
+  }
+  for (const char* name : {"RandomMatrix", "SortedMatrix", "DynamicMatrix",
+                           "DynamicMatrix2Phases"}) {
+    rows.push_back({false, name, {}, {}});
+  }
+  std::vector<double> heap_samples;
+  for (std::uint64_t round = 0; round < kSamples; ++round) {
+    const double unit = heap_ns_per_op();
+    heap_samples.push_back(unit);
+    for (RequestRow& row : rows) {
+      row.ns.push_back(request_ns(row.outer, row.name));
+      row.ratio.push_back(row.ns.back() / unit);
+    }
+  }
+  const Spread heap_spread = spread_of(heap_samples);
+  const double heap = heap_spread.median;
+  std::cerr << "# heap baseline: " << heap << " ns/op (IQR "
+            << heap_spread.iqr << ")\n";
+  for (const RequestRow& row : rows) {
+    const Spread ns = spread_of(row.ns);
+    std::cerr << "# request " << row.name << ": " << ns.median << " ns (IQR "
+              << ns.iqr << ")\n";
+  }
+
   const double engine = flat_engine_ns_per_event();
   std::cerr << "# flat engine (batched): " << engine << " ns/task\n";
   const double engine_pointwise = flat_engine_ns_per_event_pointwise();
@@ -305,22 +324,6 @@ int main(int argc, char** argv) {
   const double pool_pop = pool_pop_random_unindexed_ns();
   std::cerr << "# pool pop_random_unindexed (10^6 ids): " << pool_pop
             << " ns\n";
-
-  const std::vector<std::string> outer_names = {
-      "RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases"};
-  const std::vector<std::string> matmul_names = {
-      "RandomMatrix", "SortedMatrix", "DynamicMatrix", "DynamicMatrix2Phases"};
-  std::vector<std::pair<std::string, double>> request;
-  for (const auto& name : outer_names) {
-    request.emplace_back(name, request_ns(true, name));
-    std::cerr << "# request " << name << ": " << request.back().second
-              << " ns\n";
-  }
-  for (const auto& name : matmul_names) {
-    request.emplace_back(name, request_ns(false, name));
-    std::cerr << "# request " << name << ": " << request.back().second
-              << " ns\n";
-  }
 
   // fig05-sized (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
   // single-thread replication throughput.
@@ -336,34 +339,6 @@ int main(int argc, char** argv) {
   reps_of("fig10_mm_n100", Kernel::kMatmul, "RandomMatrix", 100);
   reps_of("fig10_mm_n100", Kernel::kMatmul, "DynamicMatrix2Phases", 100);
 
-  // Lane-team scaling on the request drain (forced budget so lanes
-  // grant everywhere; restored right after). lanes=1 doubles as the
-  // zero-cost control: CI pins it against the plain request numbers.
-  // On a 1-hardware-thread host the lanes>1 rows would only measure
-  // contention that no real deployment pays, so they are emitted as
-  // explicit "skipped" markers instead of misleading numbers; the CI
-  // gate compares only keys present in both baseline and run.
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::vector<std::pair<std::string, double>> lane_request;
-  std::vector<std::string> lane_skipped;
-  set_parallel_budget_capacity(16);
-  for (const bool outer : {true, false}) {
-    const std::string name = outer ? "DynamicOuter" : "DynamicMatrix";
-    for (const std::uint32_t lanes : {1u, 2u, 4u}) {
-      const std::string row = name + ".lanes" + std::to_string(lanes);
-      if (lanes > 1 && hw_threads <= 1) {
-        lane_skipped.push_back(row);
-        std::cerr << "# lane request " << row
-                  << ": skipped (1 hardware thread)\n";
-        continue;
-      }
-      lane_request.emplace_back(row, lane_request_ns(outer, name, lanes));
-      std::cerr << "# lane request " << lane_request.back().first << ": "
-                << lane_request.back().second << " ns\n";
-    }
-  }
-  set_parallel_budget_capacity(0);
-
   const ProfiledWorkload profiled = profiled_fig10_workload(2);
   std::cerr << "# reps/sec fig10_mm_n100.DynamicMatrix2Phases (profiled): "
             << profiled.reps_per_sec << "\n";
@@ -377,7 +352,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> large_norm;
   std::vector<std::pair<std::string, double>> large_wall;
   if (args.get_bool("large", false)) {
-    const auto run_large = [&](const char* name, std::uint32_t lanes) {
+    const auto run_large = [&](const char* name) {
       ExperimentConfig config;
       config.kernel = Kernel::kMatmul;
       config.strategy = name;
@@ -385,31 +360,19 @@ int main(int argc, char** argv) {
       config.p = 100;
       config.reps = 1;
       config.parallelism = 1;
-      config.lanes = lanes;
       config.seed = 42;
-      if (lanes > 1) set_parallel_budget_capacity(16);
       const double start = now_sec();
       const ExperimentResult result = run_experiment(config);
       const double wall = now_sec() - start;
-      if (lanes > 1) set_parallel_budget_capacity(0);
-      const std::string label =
-          lanes > 1 ? std::string(name) + ".lanes" + std::to_string(lanes)
-                    : std::string(name);
-      large_norm.emplace_back(label, result.normalized.mean);
-      large_wall.emplace_back(label, wall);
-      std::cerr << "# large mm_n1000 " << label
+      large_norm.emplace_back(name, result.normalized.mean);
+      large_wall.emplace_back(name, wall);
+      std::cerr << "# large mm_n1000 " << name
                 << ": normalized=" << result.normalized.mean
                 << " wall=" << wall << " s, peak rss " << peak_rss_mb()
                 << " MB\n";
     };
-    // --large-random=0 skips the slowest row (~11 min; its code path
-    // has no lane dependence) when only the laned rows are needed.
-    if (args.get_bool("large-random", true)) run_large("RandomMatrix", 1);
-    run_large("DynamicMatrix2Phases", 1);
-    // The lanes=4 rerun must report the identical normalized volume —
-    // the whole point of the deterministic lane team — with lower wall
-    // time wherever the host actually has the cores.
-    run_large("DynamicMatrix2Phases", 4);
+    run_large("RandomMatrix");
+    run_large("DynamicMatrix2Phases");
   }
 
   std::ofstream out(out_path);
@@ -420,24 +383,30 @@ int main(int argc, char** argv) {
   JsonWriter json(out);
   json.begin_object();
   json.field("schema", "hetsched-perf-smoke/1");
-  json.field("hardware_concurrency", static_cast<std::uint64_t>(hw_threads));
+  json.field("hardware_concurrency",
+             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.field("samples", kSamples);
   json.field("heap_ns_per_op", heap);
+  json.field("heap_ns_per_op_iqr", heap_spread.iqr);
   json.field("flat_engine_ns_per_event", engine);
   json.field("flat_engine_ns_per_event_pointwise", engine_pointwise);
   json.field("flat_engine_ns_per_event_random", engine_random);
   json.field("pool.pop_random_unindexed_ns.n1e6", pool_pop);
   json.key("request_ns");
   json.begin_object();
-  for (const auto& [name, ns] : request) json.field(name, ns);
+  for (const RequestRow& row : rows) {
+    json.field(row.name, spread_of(row.ns).median);
+  }
+  json.end_object();
+  json.key("request_ns_iqr");
+  json.begin_object();
+  for (const RequestRow& row : rows) {
+    json.field(row.name, spread_of(row.ns).iqr);
+  }
   json.end_object();
   json.key("reps_per_sec");
   json.begin_object();
   for (const auto& [name, r] : reps) json.field(name, r);
-  json.end_object();
-  json.key("lane_request_ns");
-  json.begin_object();
-  for (const auto& [name, ns] : lane_request) json.field(name, ns);
-  for (const auto& name : lane_skipped) json.field(name, "skipped");
   json.end_object();
   // Host-independent ratios for the CI gate: ns metrics over the heap
   // baseline; throughput as heap-ops-per-rep (lower = faster).
@@ -449,18 +418,23 @@ int main(int argc, char** argv) {
   json.field("flat_engine_ns_per_event_pointwise", engine_pointwise / heap);
   json.field("flat_engine_ns_per_event_random", engine_random / heap);
   json.field("pool.pop_random_unindexed_ns.n1e6", pool_pop / heap);
-  for (const auto& [name, ns] : request) json.field("request." + name, ns / heap);
+  for (const RequestRow& row : rows) {
+    json.field("request." + row.name, spread_of(row.ratio).median);
+  }
   for (const auto& [name, r] : reps) {
     json.field("rep_cost." + name, 1e9 / (r * heap));
-  }
-  for (const auto& [name, ns] : lane_request) {
-    json.field("lane.request_ns." + name, ns / heap);
   }
   // Telemetry-on rep cost: gated against the plain fig10 number above,
   // so profiler + progress can never silently grow past the noise
   // floor (the structural < 1% gate lives in tests/obs/profiler_test).
   json.field("profile.rep_cost.fig10_mm_n100.DynamicMatrix2Phases",
              1e9 / (profiled.reps_per_sec * heap));
+  json.end_object();
+  json.key("ratios_vs_heap_iqr");
+  json.begin_object();
+  for (const RequestRow& row : rows) {
+    json.field("request." + row.name, spread_of(row.ratio).iqr);
+  }
   json.end_object();
   // Per-site wall totals of the profiled run, for eyeballing where a
   // telemetry regression landed (same site taxonomy as the CLI).

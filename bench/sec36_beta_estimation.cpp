@@ -10,6 +10,7 @@
 
 #include "analysis/homogeneous.hpp"
 #include "analysis/outer_analysis.hpp"
+#include "bench/bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/rng.hpp"
@@ -20,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
+  bench::require_flags(args, {"seed", "tries"});
   const int tries = static_cast<int>(args.get_int("tries", 50));
   const std::uint64_t seed = args.get_int("seed", 20140623);
 

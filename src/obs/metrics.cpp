@@ -24,11 +24,11 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::observe(double v) noexcept {
-  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double expected = sum_.load(std::memory_order_relaxed);
+  buckets_[bucket_index(v)].fetch_add(1, std::memory_order::relaxed);
+  count_.fetch_add(1, std::memory_order::relaxed);
+  double expected = sum_.load(std::memory_order::relaxed);
   while (!sum_.compare_exchange_weak(expected, expected + v,
-                                     std::memory_order_relaxed)) {
+                                     std::memory_order::relaxed)) {
   }
 }
 
@@ -46,13 +46,13 @@ void Histogram::merge(const std::vector<std::uint64_t>& bucket_counts,
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
     if (bucket_counts[i] == 0) continue;
-    buckets_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+    buckets_[i].fetch_add(bucket_counts[i], std::memory_order::relaxed);
     total += bucket_counts[i];
   }
-  count_.fetch_add(total, std::memory_order_relaxed);
-  double expected = sum_.load(std::memory_order_relaxed);
+  count_.fetch_add(total, std::memory_order::relaxed);
+  double expected = sum_.load(std::memory_order::relaxed);
   while (!sum_.compare_exchange_weak(expected, expected + sum_delta,
-                                     std::memory_order_relaxed)) {
+                                     std::memory_order::relaxed)) {
   }
 }
 
@@ -87,7 +87,7 @@ double Histogram::quantile(double q) const {
 std::vector<std::uint64_t> Histogram::counts() const {
   std::vector<std::uint64_t> out(bounds_.size() + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+    out[i] = buckets_[i].load(std::memory_order::relaxed);
   }
   return out;
 }

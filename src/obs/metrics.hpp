@@ -25,10 +25,10 @@ class Counter {
  public:
   void inc() noexcept { add(1); }
   void add(std::uint64_t delta) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order::relaxed);
   }
   std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    return value_.load(std::memory_order::relaxed);
   }
 
  private:
@@ -38,9 +38,9 @@ class Counter {
 /// Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
+  void set(double v) noexcept { value_.store(v, std::memory_order::relaxed); }
   double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    return value_.load(std::memory_order::relaxed);
   }
 
  private:
@@ -80,9 +80,9 @@ class Histogram {
   /// Per-bucket counts; size = upper_bounds().size() + 1 (overflow last).
   std::vector<std::uint64_t> counts() const;
   std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+    return count_.load(std::memory_order::relaxed);
   }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  double sum() const noexcept { return sum_.load(std::memory_order::relaxed); }
 
  private:
   std::vector<double> bounds_;

@@ -43,11 +43,11 @@ std::uint64_t prof_default_clock() noexcept {
 }
 
 void set_prof_clock_for_testing(ProfClock clock) noexcept {
-  g_clock_override.store(clock, std::memory_order_relaxed);
+  g_clock_override.store(clock, std::memory_order::relaxed);
 }
 
 ProfClock prof_clock() noexcept {
-  ProfClock override = g_clock_override.load(std::memory_order_relaxed);
+  ProfClock override = g_clock_override.load(std::memory_order::relaxed);
   return override != nullptr ? override : &prof_default_clock;
 }
 

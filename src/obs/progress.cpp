@@ -30,7 +30,7 @@ std::uint64_t ProgressReporter::now_ns() const {
 }
 
 void ProgressReporter::expect_reps(std::uint64_t reps) {
-  reps_total_.fetch_add(reps, std::memory_order_relaxed);
+  reps_total_.fetch_add(reps, std::memory_order::relaxed);
 }
 
 void ProgressReporter::experiment_started(const std::string& label) {
@@ -45,20 +45,20 @@ void ProgressReporter::experiment_finished(const std::string& label) {
 }
 
 void ProgressReporter::rep_done() {
-  reps_done_.fetch_add(1, std::memory_order_relaxed);
+  reps_done_.fetch_add(1, std::memory_order::relaxed);
   const std::uint64_t now = now_ns();
-  std::uint64_t deadline = next_emit_ns_.load(std::memory_order_relaxed);
+  std::uint64_t deadline = next_emit_ns_.load(std::memory_order::relaxed);
   if (now < deadline) return;
   // One winner per interval; losers return without touching the stream.
   if (!next_emit_ns_.compare_exchange_strong(deadline, now + interval_ns_,
-                                             std::memory_order_relaxed)) {
+                                             std::memory_order::relaxed)) {
     return;
   }
   emit(/*final_record=*/false);
 }
 
 void ProgressReporter::finish() {
-  if (finished_.exchange(true, std::memory_order_acq_rel)) return;
+  if (finished_.exchange(true, std::memory_order::acq_rel)) return;
   emit(/*final_record=*/true);
 }
 
@@ -87,8 +87,8 @@ void ProgressReporter::emit(bool final_record) {
   const std::uint64_t emit_start = now_ns();
   const double wall_sec =
       static_cast<double>(emit_start - start_ns_) / 1e9;
-  const std::uint64_t done = reps_done_.load(std::memory_order_relaxed);
-  const std::uint64_t total = reps_total_.load(std::memory_order_relaxed);
+  const std::uint64_t done = reps_done_.load(std::memory_order::relaxed);
+  const std::uint64_t total = reps_total_.load(std::memory_order::relaxed);
   const double rate = wall_sec > 0.0 ? done / wall_sec : 0.0;
   const double eta_sec =
       (rate > 0.0 && total > done) ? (total - done) / rate : 0.0;
@@ -111,8 +111,8 @@ void ProgressReporter::emit(bool final_record) {
       json.end_array();
       json.field("rss_mib", rss_mib());
       if (final_record) {
-        json.field("emissions", emissions_.load(std::memory_order_relaxed));
-        json.field("emit_ns", emit_ns_.load(std::memory_order_relaxed));
+        json.field("emissions", emissions_.load(std::memory_order::relaxed));
+        json.field("emit_ns", emit_ns_.load(std::memory_order::relaxed));
       }
       json.end_object();
     }
@@ -132,8 +132,8 @@ void ProgressReporter::emit(bool final_record) {
     if (final_record) out_ << '\n';
   }
   out_.flush();
-  emissions_.fetch_add(1, std::memory_order_relaxed);
-  emit_ns_.fetch_add(now_ns() - emit_start, std::memory_order_relaxed);
+  emissions_.fetch_add(1, std::memory_order::relaxed);
+  emit_ns_.fetch_add(now_ns() - emit_start, std::memory_order::relaxed);
 }
 
 }  // namespace hetsched

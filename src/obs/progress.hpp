@@ -73,19 +73,19 @@ class ProgressReporter {
   void finish();
 
   std::uint64_t reps_done() const noexcept {
-    return reps_done_.load(std::memory_order_relaxed);
+    return reps_done_.load(std::memory_order::relaxed);
   }
   std::uint64_t reps_total() const noexcept {
-    return reps_total_.load(std::memory_order_relaxed);
+    return reps_total_.load(std::memory_order::relaxed);
   }
   /// Number of records actually written (tests pin throttling with it).
   std::uint64_t emissions() const noexcept {
-    return emissions_.load(std::memory_order_relaxed);
+    return emissions_.load(std::memory_order::relaxed);
   }
   /// Wall nanoseconds this reporter spent formatting + writing — its
   /// own overhead, reported in the final record.
   std::uint64_t emit_ns() const noexcept {
-    return emit_ns_.load(std::memory_order_relaxed);
+    return emit_ns_.load(std::memory_order::relaxed);
   }
 
   /// Resident set size in MiB (VmRSS on Linux; 0 when unavailable).

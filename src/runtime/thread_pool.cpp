@@ -43,15 +43,15 @@ void parallel_for_dynamic(std::uint32_t workers, std::uint64_t count,
   std::exception_ptr first_error;
   std::mutex error_mutex;
   run_workers(workers, [&](std::uint32_t) {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
+    while (!failed.load(std::memory_order::relaxed)) {
+      const std::uint64_t i = next.fetch_add(1, std::memory_order::relaxed);
       if (i >= count) return;
       try {
         body(i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+        failed.store(true, std::memory_order::relaxed);
       }
     }
   });
@@ -71,16 +71,16 @@ std::uint32_t hardware_capacity() noexcept {
 }  // namespace
 
 std::uint32_t parallel_budget_capacity() noexcept {
-  const std::uint32_t cap = g_budget_capacity.load(std::memory_order_relaxed);
+  const std::uint32_t cap = g_budget_capacity.load(std::memory_order::relaxed);
   return cap > 0 ? cap : hardware_capacity();
 }
 
 void set_parallel_budget_capacity(std::uint32_t capacity) noexcept {
-  g_budget_capacity.store(capacity, std::memory_order_relaxed);
+  g_budget_capacity.store(capacity, std::memory_order::relaxed);
 }
 
 std::uint32_t parallel_budget_in_use() noexcept {
-  return g_budget_in_use.load(std::memory_order_relaxed);
+  return g_budget_in_use.load(std::memory_order::relaxed);
 }
 
 ParallelLease::ParallelLease(std::uint32_t want, bool exact) noexcept {
@@ -88,18 +88,18 @@ ParallelLease::ParallelLease(std::uint32_t want, bool exact) noexcept {
   if (exact) {
     // Honor the request unconditionally, but make it visible: nested
     // leases subtract it from the capacity like any other occupancy.
-    g_budget_in_use.fetch_add(want, std::memory_order_relaxed);
+    g_budget_in_use.fetch_add(want, std::memory_order::relaxed);
     granted_ = want;
     return;
   }
   const std::uint32_t capacity = parallel_budget_capacity();
-  std::uint32_t in_use = g_budget_in_use.load(std::memory_order_relaxed);
+  std::uint32_t in_use = g_budget_in_use.load(std::memory_order::relaxed);
   for (;;) {
     const std::uint32_t available = in_use < capacity ? capacity - in_use : 0;
     const std::uint32_t grant = want < available ? want : available;
     if (grant == 0) return;
     if (g_budget_in_use.compare_exchange_weak(in_use, in_use + grant,
-                                              std::memory_order_relaxed)) {
+                                              std::memory_order::relaxed)) {
       granted_ = grant;
       return;
     }
@@ -108,7 +108,7 @@ ParallelLease::ParallelLease(std::uint32_t want, bool exact) noexcept {
 
 ParallelLease::~ParallelLease() {
   if (granted_ > 0) {
-    g_budget_in_use.fetch_sub(granted_, std::memory_order_relaxed);
+    g_budget_in_use.fetch_sub(granted_, std::memory_order::relaxed);
   }
 }
 

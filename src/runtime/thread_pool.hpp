@@ -45,11 +45,10 @@ std::uint32_t parallel_budget_in_use() noexcept;
 /// The `exact` form grants `want` unconditionally and records the usage
 /// even past the capacity. It exists for explicitly-requested thread
 /// counts (ExperimentConfig::parallelism > 0): the user's setting is
-/// honored, but the slots still count as in-use so a *nested* parallel
-/// region (an intra-rep lane team inside a rep shard) sees the true
-/// occupancy and cannot oversubscribe on top of it. Before this, an
-/// explicit rep thread count was invisible to the budget and nested
-/// leases could double-book the machine.
+/// honored, but the slots still count as in-use so any other lease
+/// taken while it is held (a campaign or an auto-parallel experiment
+/// running beside it in the same process) sees the true occupancy and
+/// cannot oversubscribe on top of it.
 class ParallelLease {
  public:
   explicit ParallelLease(std::uint32_t want) noexcept

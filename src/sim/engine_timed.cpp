@@ -191,7 +191,6 @@ TimedSimResult simulate_timed(Strategy& strategy, const Platform& platform,
           .set(result.workers[k].starved_time);
     }
   }
-  publish_lane_gauges(config.metrics, strategy);
   return result;
 }
 

@@ -49,7 +49,7 @@ const std::vector<std::string>& spec_overlay_flags() {
   static const std::vector<std::string> flags = {
       "name", "kernel", "strategy", "strategies", "n", "p",
       "beta", "phase2", "scenario", "reps", "seed", "timed",
-      "bandwidth", "latency", "lookahead", "lanes", "faults"};
+      "bandwidth", "latency", "lookahead", "faults"};
   return flags;
 }
 
@@ -109,7 +109,6 @@ ScenarioSpec spec_overlay_from_cli(const CliArgs& args) {
   if (args.has("lookahead")) {
     spec.lookahead = parse_count_flag(args, "lookahead").front();
   }
-  if (args.has("lanes")) spec.lanes = parse_count_flag(args, "lanes").front();
   if (args.has("faults")) {
     spec.faults = parse_fault_list(args.get("faults", ""));
   }

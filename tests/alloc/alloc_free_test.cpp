@@ -27,13 +27,13 @@ std::atomic<std::uint64_t> g_alloc_count{0};
 // Counting global allocator. Counts every operator new; delete is left
 // alone (frees are fine in the hot loop — only allocations regress).
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_count.fetch_add(1, std::memory_order::relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_count.fetch_add(1, std::memory_order::relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -99,9 +99,9 @@ TEST_P(AllocFree, SteadyStateRequestLoopDoesNotAllocate) {
     GTEST_SKIP() << GetParam() << " does not support reset()";
   }
 
-  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_count.store(0, std::memory_order::relaxed);
   const std::uint64_t served = drain(*strategy, scratch);
-  const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs = g_alloc_count.load(std::memory_order::relaxed);
   EXPECT_EQ(allocs, 0u) << "second drain served " << served
                         << " requests but allocated " << allocs << " times";
   EXPECT_EQ(served, warm_served);
@@ -121,7 +121,7 @@ TEST_P(AllocFree, WarmedRunVectorsAllocateZeroOnRequestLoop) {
     GTEST_SKIP() << GetParam() << " does not support reset()";
   }
 
-  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_count.store(0, std::memory_order::relaxed);
   std::uint64_t task_runs_seen = 0;
   std::uint64_t block_runs_seen = 0;
   std::uint64_t tasks_via_runs = 0;
@@ -141,7 +141,7 @@ TEST_P(AllocFree, WarmedRunVectorsAllocateZeroOnRequestLoop) {
     }
     w = (w + 1) % strategy->workers();
   }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+  EXPECT_EQ(g_alloc_count.load(std::memory_order::relaxed), 0u)
       << "run-channel drain allocated";
   const std::string name(GetParam());
   if (name.find("Dynamic") != std::string::npos) {
@@ -166,9 +166,9 @@ TEST_P(AllocFree, ResetAfterWarmupDoesNotAllocate) {
   }
   drain(*strategy, scratch);
 
-  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_count.store(0, std::memory_order::relaxed);
   ASSERT_TRUE(strategy->reset(7));
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order::relaxed), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

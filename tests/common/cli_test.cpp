@@ -103,7 +103,7 @@ TEST(CliArgs, RequireKnownNamesEveryUnknownFlag) {
 
 TEST(CliArgs, RequireKnownSuggestsNothingFarAway) {
   const CliArgs args = parse({"prog", "--parallel=1"});
-  EXPECT_EQ(rejection(args, {"p", "reps", "lanes"}),
+  EXPECT_EQ(rejection(args, {"p", "reps", "seed"}),
             "run: unknown flag --parallel");
 }
 

@@ -1,6 +1,7 @@
-// End-to-end checks of hetsched_cli's flag handling: every command
-// rejects a misspelled or unknown flag before it runs anything, and
-// accepts every flag its help text documents.
+// End-to-end checks of the binaries' flag handling: every hetsched_cli
+// command rejects a misspelled or unknown flag before it runs anything
+// and accepts every flag its help text documents; the bench binaries
+// reject unknown flags the same way.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -18,9 +19,8 @@ struct CliRun {
   std::string output;  // stdout and stderr
 };
 
-CliRun run_cli(const std::string& args) {
-  const std::string command =
-      std::string(HETSCHED_CLI_PATH) + " " + args + " 2>&1";
+CliRun run_binary(const std::string& path, const std::string& args) {
+  const std::string command = path + " " + args + " 2>&1";
   CliRun run;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
@@ -32,6 +32,10 @@ CliRun run_cli(const std::string& args) {
   const int status = pclose(pipe);
   if (WIFEXITED(status)) run.status = WEXITSTATUS(status);
   return run;
+}
+
+CliRun run_cli(const std::string& args) {
+  return run_binary(HETSCHED_CLI_PATH, args);
 }
 
 std::size_t count(const std::string& text, const std::string& needle) {
@@ -69,6 +73,16 @@ TEST(CliFlags, UnknownFlagFailsOnEveryCommand) {
               std::string::npos)
         << run.output;
   }
+}
+
+TEST(CliFlags, RemovedLanesFlagIsRejected) {
+  // `lanes` is not a run flag: passing it must fail, not be ignored.
+  const std::string removed = "lanes";
+  const CliRun run = run_cli("run --" + removed + "=2");
+  EXPECT_EQ(run.status, 1) << run.output;
+  EXPECT_NE(run.output.find("run: unknown flag --" + removed),
+            std::string::npos)
+      << run.output;
 }
 
 // Parses `hetsched_cli help` into command -> the flags its section
@@ -126,6 +140,32 @@ TEST(CliFlags, EveryDocumentedFlagIsAccepted) {
   EXPECT_TRUE(documented.at("run").count("strategy"));
   EXPECT_TRUE(documented.at("campaign").count("jobs"));
   EXPECT_TRUE(documented.at("analyze").count("md-out"));
+}
+
+TEST(BenchFlags, MisspelledFlagFailsWithSuggestion) {
+#if defined(HETSCHED_FIG04_PATH) && defined(HETSCHED_PERF_SMOKE_PATH)
+  struct Case {
+    const char* path;
+    const char* args;
+    const char* message;
+  };
+  const Case cases[] = {
+      {HETSCHED_FIG04_PATH, "--reps=1 --sed=3",
+       "fig04_outer_n100: unknown flag --sed (did you mean --seed?)"},
+      {HETSCHED_PERF_SMOKE_PATH, "--outt=perf.json",
+       "perf_smoke: unknown flag --outt (did you mean --out?)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.path);
+    const CliRun run = run_binary(c.path, c.args);
+    EXPECT_EQ(run.status, 1) << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos) << run.output;
+    // The rejection comes before any work: no CSV header, no perf lines.
+    EXPECT_EQ(run.output.find('#'), std::string::npos) << run.output;
+  }
+#else
+  GTEST_SKIP() << "bench binaries not built (HETSCHED_BUILD_BENCH=OFF)";
+#endif
 }
 
 }  // namespace

@@ -94,6 +94,15 @@ TEST(ParallelBudget, DestructionReleasesSlots) {
   EXPECT_EQ(b.granted(), 2u);
 }
 
+TEST(ParallelBudget, ExactLeaseRecordsUsagePastCapacity) {
+  const BudgetOverride cap(2);
+  const ParallelLease exact(4, /*exact=*/true);
+  EXPECT_EQ(exact.granted(), 4u);  // honored as asked...
+  EXPECT_EQ(parallel_budget_in_use(), 4u);  // ...and visible to others
+  const ParallelLease nested(8);
+  EXPECT_EQ(nested.granted(), 0u);  // other leases cannot double-book
+}
+
 TEST(ParallelBudget, ZeroWantGrantsNothing) {
   const ParallelLease lease(0);
   EXPECT_EQ(lease.granted(), 0u);
