@@ -70,15 +70,23 @@ inline const std::vector<std::string>& trajectory_flags() {
   return flags;
 }
 
-/// Rejects every flag outside `known` and `also` before the bench runs
-/// anything: prints CliArgs::require_known's message, which names the
-/// closest known flag, and exits 1.
+/// Checks the flags before the bench runs anything. On --help, lists
+/// the flags in `known` and `also` on stdout and exits 0. Otherwise
+/// rejects every flag outside them: prints CliArgs::require_known's
+/// message, which names the closest known flag, and exits 1.
 inline void require_flags(const CliArgs& args, std::vector<std::string> known,
                           const std::vector<std::string>& also = {}) {
   known.insert(known.end(), also.begin(), also.end());
   const std::string& program = args.program();
+  const std::string name = program.substr(program.rfind('/') + 1);
+  if (args.has("help")) {
+    std::cout << "usage: " << name << " [--flag=value ...]\nflags:";
+    for (const std::string& flag : known) std::cout << " --" << flag;
+    std::cout << "\n";
+    std::exit(0);
+  }
   try {
-    args.require_known(known, program.substr(program.rfind('/') + 1));
+    args.require_known(known, name);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     std::exit(1);

@@ -6,8 +6,10 @@
 // independent choices never share a stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace hetsched {
 
@@ -95,6 +97,18 @@ class Rng {
 
   std::uint64_t s_[4];
 };
+
+/// Removes and returns a uniformly drawn element of the non-empty
+/// `unknown` (one next_below draw; the last element fills the hole).
+/// The index draw of every list-based Dynamic* step.
+inline std::uint32_t pick_unknown(Rng& rng,
+                                  std::vector<std::uint32_t>& unknown) {
+  const auto pos = static_cast<std::size_t>(rng.next_below(unknown.size()));
+  const std::uint32_t v = unknown[pos];
+  unknown[pos] = unknown.back();
+  unknown.pop_back();
+  return v;
+}
 
 /// Derives an independent stream seed from (seed, tag). Different tags
 /// give statistically independent generators for the same experiment

@@ -40,9 +40,7 @@ class AdaptiveMatmulStrategy final : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
   bool switched() const noexcept { return switched_; }

@@ -157,16 +157,9 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
     return true;
   }
 
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-  const std::uint32_t k = pick(w.unknown_k);
+  const std::uint32_t i = pick_unknown(rng_, w.unknown_i);
+  const std::uint32_t j = pick_unknown(rng_, w.unknown_j);
+  const std::uint32_t k = pick_unknown(rng_, w.unknown_k);
   const std::uint32_t n = config_.n;
 
   // Ship the 3*(2y+1) blocks extending I x K, K x J and I x J with the
@@ -203,23 +196,8 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   } else {
     // After a random serve the cross-product invariant is gone:
     // set_if_clear keeps the accounting exact.
-    auto ship = [&](Operand op, DynamicBitset& owned, std::uint32_t r,
-                    std::uint32_t c) {
-      if (owned.set_if_clear(block_index(n, r, c))) {
-        out.blocks.push_back(BlockRef{op, r, c});
-      }
-    };
-    for (const std::uint32_t k2 : w.known_k) ship(Operand::kMatA, w.blocks.owned_a, i, k2);
-    for (const std::uint32_t i2 : w.known_i) ship(Operand::kMatA, w.blocks.owned_a, i2, k);
-    ship(Operand::kMatA, w.blocks.owned_a, i, k);
-
-    for (const std::uint32_t j2 : w.known_j) ship(Operand::kMatB, w.blocks.owned_b, k, j2);
-    for (const std::uint32_t k2 : w.known_k) ship(Operand::kMatB, w.blocks.owned_b, k2, j);
-    ship(Operand::kMatB, w.blocks.owned_b, k, j);
-
-    for (const std::uint32_t j2 : w.known_j) ship(Operand::kMatC, w.blocks.owned_c, i, j2);
-    for (const std::uint32_t i2 : w.known_i) ship(Operand::kMatC, w.blocks.owned_c, i2, j);
-    ship(Operand::kMatC, w.blocks.owned_c, i, j);
+    ship_matmul_extension_blocks(n, i, j, k, w.known_i, w.known_j, w.known_k,
+                                 w.blocks, out);
   }
 
   // Allocate all unprocessed tasks of (I+i) x (J+j) x (K+k) that touch

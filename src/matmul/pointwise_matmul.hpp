@@ -33,6 +33,33 @@ void charge_matmul_task_blocks(std::uint32_t n, std::uint32_t i,
                                MatmulWorkerBlocks& blocks,
                                Assignment& assignment);
 
+/// Appends the blocks a worker with known index lists I, J, K lacks for
+/// the 3(2y+1)-block extension by fresh (i, j, k), updating `blocks`:
+/// A over {i} x K, I x {k}, (i, k); then B over {k} x J, K x {j},
+/// (k, j); then C over {i} x J, I x {j}, (i, j).
+inline void ship_matmul_extension_blocks(
+    std::uint32_t n, std::uint32_t i, std::uint32_t j, std::uint32_t k,
+    const std::vector<std::uint32_t>& known_i,
+    const std::vector<std::uint32_t>& known_j,
+    const std::vector<std::uint32_t>& known_k, MatmulWorkerBlocks& blocks,
+    Assignment& out) {
+  const auto ship = [&](Operand op, DynamicBitset& owned, std::uint32_t r,
+                        std::uint32_t c) {
+    if (owned.set_if_clear(block_index(n, r, c))) {
+      out.blocks.push_back(BlockRef{op, r, c});
+    }
+  };
+  for (const std::uint32_t k2 : known_k) ship(Operand::kMatA, blocks.owned_a, i, k2);
+  for (const std::uint32_t i2 : known_i) ship(Operand::kMatA, blocks.owned_a, i2, k);
+  ship(Operand::kMatA, blocks.owned_a, i, k);
+  for (const std::uint32_t j2 : known_j) ship(Operand::kMatB, blocks.owned_b, k, j2);
+  for (const std::uint32_t k2 : known_k) ship(Operand::kMatB, blocks.owned_b, k2, j);
+  ship(Operand::kMatB, blocks.owned_b, k, j);
+  for (const std::uint32_t j2 : known_j) ship(Operand::kMatC, blocks.owned_c, i, j2);
+  for (const std::uint32_t i2 : known_i) ship(Operand::kMatC, blocks.owned_c, i2, j);
+  ship(Operand::kMatC, blocks.owned_c, i, j);
+}
+
 /// Base for strategies that hand out one task per request.
 class PointwiseMatmulStrategy : public Strategy {
  public:
@@ -46,9 +73,7 @@ class PointwiseMatmulStrategy : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) final;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
   bool reset(std::uint64_t seed) final {

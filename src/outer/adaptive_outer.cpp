@@ -22,17 +22,9 @@ AdaptiveOuterStrategy::AdaptiveOuterStrategy(OuterConfig config,
     throw std::invalid_argument(
         "AdaptiveOuterStrategy: threshold must be positive");
   }
-  state_.resize(workers);
-  for (auto& w : state_) {
-    w.owned_a = DynamicBitset(config_.n);
-    w.owned_b = DynamicBitset(config_.n);
-    w.unknown_i.resize(config_.n);
-    w.unknown_j.resize(config_.n);
-    for (std::uint32_t v = 0; v < config_.n; ++v) {
-      w.unknown_i[v] = v;
-      w.unknown_j[v] = v;
-    }
-  }
+  state_.assign(workers, WorkerState{OuterKnowledge(config_.n, config_.n),
+                                     DynamicBitset(config_.n),
+                                     DynamicBitset(config_.n)});
 }
 
 void AdaptiveOuterStrategy::record_step(std::size_t tasks_gained) {
@@ -68,34 +60,13 @@ bool AdaptiveOuterStrategy::on_request(std::uint32_t worker, Assignment& out) {
 
 bool AdaptiveOuterStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
   WorkerState& w = state_[worker];
-  if (w.unknown_i.empty() || w.unknown_j.empty()) {
-    return random_request(worker, out);
-  }
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-
+  if (!w.known.can_draw()) return random_request(worker, out);
+  const auto [i, j] = w.known.draw(rng_);
   out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
   out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
   w.owned_a.set(i);
   w.owned_b.set(j);
-
-  auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
-    const TaskId id = outer_task_id(config_.n, ti, tj);
-    if (pool_.remove(id)) out.tasks.push_back(id);
-  };
-  for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-  for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-  try_take(i, j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
+  w.known.take_extension(config_.n, i, j, pool_, out.tasks);
   record_step(out.tasks.size());
   return true;
 }
@@ -105,13 +76,7 @@ bool AdaptiveOuterStrategy::random_request(std::uint32_t worker, Assignment& out
   WorkerState& w = state_[worker];
   const TaskId id = pool_.pop_random(rng_);
   const auto [i, j] = outer_task_coords(config_.n, id);
-
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, w.owned_a, w.owned_b, out);
   out.tasks.push_back(id);
   return true;
 }

@@ -47,9 +47,7 @@ class AdaptiveOuterStrategy final : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
   /// Whether the strategy has switched to the random phase.
@@ -61,10 +59,7 @@ class AdaptiveOuterStrategy final : public Strategy {
 
  private:
   struct WorkerState {
-    std::vector<std::uint32_t> known_i;
-    std::vector<std::uint32_t> known_j;
-    std::vector<std::uint32_t> unknown_i;
-    std::vector<std::uint32_t> unknown_j;
+    OuterKnowledge known;
     DynamicBitset owned_a;
     DynamicBitset owned_b;
   };

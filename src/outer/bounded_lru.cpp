@@ -70,15 +70,7 @@ BoundedLruOuterStrategy::BoundedLruOuterStrategy(OuterConfig config,
         "BoundedLruOuterStrategy: capacity must be >= 2 blocks");
   }
   caches_.assign(workers, LruCache(2 * config_.n, capacity));
-  state_.resize(workers);
-  for (auto& w : state_) {
-    w.unknown_i.resize(config_.n);
-    w.unknown_j.resize(config_.n);
-    for (std::uint32_t v = 0; v < config_.n; ++v) {
-      w.unknown_i[v] = v;
-      w.unknown_j[v] = v;
-    }
-  }
+  known_.assign(workers, OuterKnowledge(config_.n, config_.n));
 }
 
 void BoundedLruOuterStrategy::fetch(std::uint32_t worker, Operand op,
@@ -98,40 +90,20 @@ void BoundedLruOuterStrategy::fetch(std::uint32_t worker, Operand op,
 bool BoundedLruOuterStrategy::on_request(std::uint32_t worker, Assignment& out) {
   out.clear();
   if (pool_.empty()) return false;
-  WorkerState& w = state_[worker];
   const LruCache& cache = caches_[worker];
   const bool room = cache.size() + 2 <= cache.capacity();
-  if (room && !w.unknown_i.empty() && !w.unknown_j.empty()) {
+  if (room && known_[worker].can_draw()) {
     return dynamic_request(worker, out);
   }
   return bounded_request(worker, out);
 }
 
 bool BoundedLruOuterStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
-  WorkerState& w = state_[worker];
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-
+  OuterKnowledge& known = known_[worker];
+  const auto [i, j] = known.draw(rng_);
   fetch(worker, Operand::kVecA, i, out);
   fetch(worker, Operand::kVecB, j, out);
-
-  auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
-    const TaskId id = outer_task_id(config_.n, ti, tj);
-    if (pool_.remove(id)) out.tasks.push_back(id);
-  };
-  for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-  for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-  try_take(i, j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
+  known.take_extension(config_.n, i, j, pool_, out.tasks);
   return true;
 }
 

@@ -43,9 +43,7 @@ class BoundedLruOuterStrategy final : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
   /// Fetches of blocks the worker had held before (eviction cost).
@@ -88,13 +86,6 @@ class BoundedLruOuterStrategy final : public Strategy {
     std::uint32_t capacity_;
   };
 
-  struct WorkerState {
-    std::vector<std::uint32_t> known_i;
-    std::vector<std::uint32_t> known_j;
-    std::vector<std::uint32_t> unknown_i;
-    std::vector<std::uint32_t> unknown_j;
-  };
-
   std::uint32_t a_slot(std::uint32_t i) const { return i; }
   std::uint32_t b_slot(std::uint32_t j) const { return config_.n + j; }
 
@@ -108,7 +99,7 @@ class BoundedLruOuterStrategy final : public Strategy {
   OuterConfig config_;
   SwapRemovePool pool_;
   std::vector<LruCache> caches_;
-  std::vector<WorkerState> state_;
+  std::vector<OuterKnowledge> known_;
   Rng rng_;
   std::uint64_t refetches_ = 0;
 };

@@ -128,15 +128,8 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   }
 
   // Draw a fresh (i, j) pair uniformly from the unknown index sets.
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
+  const std::uint32_t i = pick_unknown(rng_, w.unknown_i);
+  const std::uint32_t j = pick_unknown(rng_, w.unknown_j);
 
   out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
   out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
@@ -277,12 +270,7 @@ bool DynamicOuterStrategy::random_request(std::uint32_t worker,
   const auto [i, j] = outer_task_coords(config_.n, id);
   removed_t_.set(static_cast<std::uint64_t>(j) * mir_stride_ + i);
 
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, w.owned_a, w.owned_b, out);
   out.tasks.push_back(id);
   notify_fetches(worker, out);
   return true;

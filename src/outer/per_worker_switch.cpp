@@ -30,18 +30,11 @@ PerWorkerSwitchOuterStrategy::PerWorkerSwitchOuterStrategy(
     total += s;
   }
 
-  state_.resize(speeds.size());
+  state_.assign(speeds.size(),
+                WorkerState{OuterKnowledge(config_.n, config_.n),
+                            DynamicBitset(config_.n), DynamicBitset(config_.n)});
   switch_rows_.resize(speeds.size());
   for (std::size_t k = 0; k < speeds.size(); ++k) {
-    auto& w = state_[k];
-    w.owned_a = DynamicBitset(config_.n);
-    w.owned_b = DynamicBitset(config_.n);
-    w.unknown_i.resize(config_.n);
-    w.unknown_j.resize(config_.n);
-    for (std::uint32_t v = 0; v < config_.n; ++v) {
-      w.unknown_i[v] = v;
-      w.unknown_j[v] = v;
-    }
     // Lemma 3's per-worker switch point: x_k^2 = beta rs - (beta^2/2) rs^2.
     // The expression is valid only for beta <= 1/rs (see
     // OuterAnalysis::validity_cap); a very fast worker saturates at the
@@ -59,8 +52,7 @@ bool PerWorkerSwitchOuterStrategy::on_request(std::uint32_t worker, Assignment& 
   out.clear();
   if (pool_.empty()) return false;
   const WorkerState& w = state_[worker];
-  if (w.known_i.size() >= switch_rows_[worker] || w.unknown_i.empty() ||
-      w.unknown_j.empty()) {
+  if (w.known.known_i.size() >= switch_rows_[worker] || !w.known.can_draw()) {
     return random_request(worker, out);
   }
   return dynamic_request(worker, out);
@@ -68,31 +60,12 @@ bool PerWorkerSwitchOuterStrategy::on_request(std::uint32_t worker, Assignment& 
 
 bool PerWorkerSwitchOuterStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
   WorkerState& w = state_[worker];
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-
+  const auto [i, j] = w.known.draw(rng_);
   out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
   out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
   w.owned_a.set(i);
   w.owned_b.set(j);
-
-  auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
-    const TaskId id = outer_task_id(config_.n, ti, tj);
-    if (pool_.remove(id)) out.tasks.push_back(id);
-  };
-  for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-  for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-  try_take(i, j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
+  w.known.take_extension(config_.n, i, j, pool_, out.tasks);
   return true;
 }
 
@@ -101,13 +74,7 @@ bool PerWorkerSwitchOuterStrategy::random_request(std::uint32_t worker, Assignme
   WorkerState& w = state_[worker];
   const TaskId id = pool_.pop_random(rng_);
   const auto [i, j] = outer_task_coords(config_.n, id);
-
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, w.owned_a, w.owned_b, out);
   out.tasks.push_back(id);
   return true;
 }

@@ -24,12 +24,7 @@ bool PointwiseOuterStrategy::on_request(std::uint32_t worker,
   const auto [i, j] = outer_task_coords(n_div_, id);
 
   WorkerBlocks& blocks = owned_[worker];
-  if (blocks.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (blocks.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, blocks.owned_a, blocks.owned_b, out);
   out.tasks.push_back(id);
   return true;
 }

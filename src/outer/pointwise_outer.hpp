@@ -28,9 +28,7 @@ class PointwiseOuterStrategy : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) final;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
   bool reset(std::uint64_t seed) final {

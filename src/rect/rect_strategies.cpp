@@ -17,22 +17,16 @@ DynamicRectStrategy::DynamicRectStrategy(RectConfig config,
   if (workers == 0) {
     throw std::invalid_argument("DynamicRectStrategy: need >= 1 worker");
   }
-  state_.resize(workers);
-  for (auto& w : state_) {
-    w.owned_a = DynamicBitset(config_.rows);
-    w.owned_b = DynamicBitset(config_.cols);
-    w.unknown_i.resize(config_.rows);
-    w.unknown_j.resize(config_.cols);
-    for (std::uint32_t v = 0; v < config_.rows; ++v) w.unknown_i[v] = v;
-    for (std::uint32_t v = 0; v < config_.cols; ++v) w.unknown_j[v] = v;
-  }
+  state_.assign(workers, WorkerState{OuterKnowledge(config_.rows, config_.cols),
+                                     DynamicBitset(config_.rows),
+                                     DynamicBitset(config_.cols)});
 }
 
 std::pair<double, double> DynamicRectStrategy::coverage(
     std::uint32_t worker) const {
-  const WorkerState& w = state_[worker];
-  return {static_cast<double>(w.known_i.size()) / config_.rows,
-          static_cast<double>(w.known_j.size()) / config_.cols};
+  const OuterKnowledge& known = state_[worker].known;
+  return {static_cast<double>(known.known_i.size()) / config_.rows,
+          static_cast<double>(known.known_j.size()) / config_.cols};
 }
 
 bool DynamicRectStrategy::on_request(std::uint32_t worker, Assignment& out) {
@@ -44,25 +38,18 @@ bool DynamicRectStrategy::on_request(std::uint32_t worker, Assignment& out) {
 
 bool DynamicRectStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
   WorkerState& w = state_[worker];
-  if (w.unknown_i.empty() && w.unknown_j.empty()) {
+  OuterKnowledge& known = w.known;
+  if (known.unknown_i.empty() && known.unknown_j.empty()) {
     return random_request(worker, out);
   }
 
   // Proportional acquisition: take the dimension whose coverage
   // fraction lags (rows when |I| C <= |J| R), so |I|/R tracks |J|/C.
   const bool rows_lag =
-      static_cast<std::uint64_t>(w.known_i.size()) * config_.cols <=
-      static_cast<std::uint64_t>(w.known_j.size()) * config_.rows;
+      static_cast<std::uint64_t>(known.known_i.size()) * config_.cols <=
+      static_cast<std::uint64_t>(known.known_j.size()) * config_.rows;
   const bool take_row =
-      !w.unknown_i.empty() && (rows_lag || w.unknown_j.empty());
-
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
+      !known.unknown_i.empty() && (rows_lag || known.unknown_j.empty());
 
   auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
     const TaskId id = rect_task_id(config_, ti, tj);
@@ -70,17 +57,17 @@ bool DynamicRectStrategy::dynamic_request(std::uint32_t worker, Assignment& out)
   };
 
   if (take_row) {
-    const std::uint32_t i = pick(w.unknown_i);
+    const std::uint32_t i = pick_unknown(rng_, known.unknown_i);
     out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
     w.owned_a.set(i);
-    for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-    w.known_i.push_back(i);
+    for (const std::uint32_t j2 : known.known_j) try_take(i, j2);
+    known.known_i.push_back(i);
   } else {
-    const std::uint32_t j = pick(w.unknown_j);
+    const std::uint32_t j = pick_unknown(rng_, known.unknown_j);
     out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
     w.owned_b.set(j);
-    for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-    w.known_j.push_back(j);
+    for (const std::uint32_t i2 : known.known_i) try_take(i2, j);
+    known.known_j.push_back(j);
   }
   return true;
 }
@@ -91,12 +78,7 @@ bool DynamicRectStrategy::random_request(std::uint32_t worker, Assignment& out) 
   const TaskId id = pool_.pop_random(rng_);
   const auto [i, j] = rect_task_coords(config_, id);
 
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, w.owned_a, w.owned_b, out);
   out.tasks.push_back(id);
   return true;
 }
@@ -127,12 +109,7 @@ bool PointwiseRectStrategy::on_request(std::uint32_t worker, Assignment& out) {
   const auto [i, j] = rect_task_coords(config_, id);
 
   WorkerBlocks& blocks = owned_[worker];
-  if (blocks.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (blocks.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, blocks.owned_a, blocks.owned_b, out);
   out.tasks.push_back(id);
   return true;
 }

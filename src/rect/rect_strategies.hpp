@@ -18,6 +18,7 @@
 #include "common/dynamic_bitset.hpp"
 #include "common/rng.hpp"
 #include "common/swap_remove_pool.hpp"
+#include "outer/outer_problem.hpp"
 #include "rect/rect_problem.hpp"
 #include "sim/strategy.hpp"
 
@@ -42,9 +43,7 @@ class DynamicRectStrategy final : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
   /// Coverage fractions (|I|/R, |J|/C) of worker k — kept approximately
@@ -53,10 +52,7 @@ class DynamicRectStrategy final : public Strategy {
 
  private:
   struct WorkerState {
-    std::vector<std::uint32_t> known_i;
-    std::vector<std::uint32_t> known_j;
-    std::vector<std::uint32_t> unknown_i;
-    std::vector<std::uint32_t> unknown_j;
+    OuterKnowledge known;
     DynamicBitset owned_a;
     DynamicBitset owned_b;
   };
@@ -95,9 +91,7 @@ class PointwiseRectStrategy final : public Strategy {
   bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
+    return requeue_into(pool_, tasks);
   }
 
  private:

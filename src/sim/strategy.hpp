@@ -301,4 +301,14 @@ class Strategy {
   const double* obs_clock_ = nullptr;
 };
 
+/// The requeue() body of every strategy whose pool is all a crash
+/// requeue must restore: re-inserts each task into `pool` and reports
+/// whether every one of them was absent.
+template <typename Pool>
+bool requeue_into(Pool& pool, const std::vector<TaskId>& tasks) {
+  bool all_inserted = true;
+  for (const TaskId id : tasks) all_inserted &= pool.insert(id);
+  return all_inserted;
+}
+
 }  // namespace hetsched

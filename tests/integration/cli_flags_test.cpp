@@ -142,6 +142,20 @@ TEST(CliFlags, EveryDocumentedFlagIsAccepted) {
   EXPECT_TRUE(documented.at("analyze").count("md-out"));
 }
 
+TEST(CliProfile, LabelsTheThreadSumBesideWallTime) {
+  const CliRun run = run_cli(
+      "run --kernel=outer --strategy=RandomOuter --n=20 --p=4 --reps=2 "
+      "--profile");
+  EXPECT_EQ(run.status, 0) << run.output;
+  const auto wall = run.output.find("wall time           : ");
+  const auto label =
+      run.output.find("profile (self ns, summed over rep threads):\n");
+  ASSERT_NE(wall, std::string::npos) << run.output;
+  ASSERT_NE(label, std::string::npos) << run.output;
+  EXPECT_LT(wall, label) << run.output;
+  EXPECT_NE(run.output.find("engine.run : "), std::string::npos) << run.output;
+}
+
 TEST(BenchFlags, MisspelledFlagFailsWithSuggestion) {
 #if defined(HETSCHED_FIG04_PATH) && defined(HETSCHED_PERF_SMOKE_PATH)
   struct Case {
@@ -163,6 +177,21 @@ TEST(BenchFlags, MisspelledFlagFailsWithSuggestion) {
     // The rejection comes before any work: no CSV header, no perf lines.
     EXPECT_EQ(run.output.find('#'), std::string::npos) << run.output;
   }
+#else
+  GTEST_SKIP() << "bench binaries not built (HETSCHED_BUILD_BENCH=OFF)";
+#endif
+}
+
+TEST(BenchFlags, HelpListsFlagsAndRunsNothing) {
+#if defined(HETSCHED_FIG04_PATH)
+  const CliRun run = run_binary(HETSCHED_FIG04_PATH, "--help");
+  EXPECT_EQ(run.status, 0) << run.output;
+  EXPECT_NE(run.output.find("fig04_outer_n100"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("--reps"), std::string::npos) << run.output;
+  // No table: neither the '#' provenance header nor a CSV row.
+  EXPECT_EQ(run.output.find('#'), std::string::npos) << run.output;
+  EXPECT_EQ(run.output.find(','), std::string::npos) << run.output;
 #else
   GTEST_SKIP() << "bench binaries not built (HETSCHED_BUILD_BENCH=OFF)";
 #endif

@@ -282,7 +282,10 @@ int cmd_run(const CliArgs& args) {
   std::cout << "analysis prediction : " << result.analysis_ratio.mean << "\n";
   std::cout << "makespan            : " << result.makespan.mean << "\n";
   if (result.profile.enabled) {
-    std::cout << "profile (wall ns, self):\n";
+    // Each site sums its self time over every rep thread, so with
+    // parallel reps a site can exceed the wall time of the whole loop.
+    std::cout << "wall time           : " << result.wall_time_sec << " s\n";
+    std::cout << "profile (self ns, summed over rep threads):\n";
     for (std::size_t i = 0; i < kNumProfSites; ++i) {
       const auto& site = result.profile.sites[i];
       if (site.calls == 0) continue;
